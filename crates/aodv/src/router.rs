@@ -9,13 +9,11 @@ use crate::config::AodvConfig;
 use crate::nodemap::NodeMap;
 use crate::table::RoutingTable;
 
-/// Floor on every non-zero broadcast-jitter draw. This is the *only*
-/// sub-SIFS delay any protocol cascade can request, so flooring it gives
-/// the sharded engine a hard lookahead: every event a cascade schedules
-/// lands at least `min(SIFS, MIN_JITTER)` after the cascade's own
-/// timestamp. 16 µs sits above the batch horizon and five orders of
-/// magnitude below the default 10 ms jitter window, so route-discovery
-/// de-synchronisation is unaffected.
+/// Floor on every non-zero broadcast-jitter draw, so every event a
+/// cascade schedules lands at least `min(SIFS, MIN_JITTER)` after the
+/// cascade's own timestamp. 16 µs is five orders of magnitude below the
+/// default 10 ms jitter window, so route-discovery de-synchronisation is
+/// unaffected; the golden trace digests are recorded with the floor.
 pub const MIN_JITTER: SimDuration = SimDuration::from_micros(16);
 
 /// Why the router dropped a packet.
@@ -372,13 +370,9 @@ impl Router {
         if max == 0 {
             SimDuration::ZERO
         } else {
-            // Clamp to MIN_JITTER so a jittered rebroadcast is the only
-            // event a cascade can schedule closer than a SIFS: the sharded
-            // engine's burst-batching window relies on every in-cascade
-            // schedule landing at least min(SIFS, MIN_JITTER) in the
-            // future. One draw in ~625 lands below 16 µs with the default
-            // 10 ms jitter, so the clamp is a one-time golden re-bless,
-            // not a behavioural change at protocol timescales.
+            // Clamp to MIN_JITTER. One draw in ~625 lands below 16 µs
+            // with the default 10 ms jitter, so the clamp is not a
+            // behavioural change at protocol timescales.
             SimDuration::from_nanos(self.rng.gen_range_u64(max).max(MIN_JITTER.as_nanos()))
         }
     }

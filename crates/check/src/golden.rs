@@ -47,31 +47,22 @@ impl CanonicalCase {
         (self.build)()
     }
 
-    /// Runs the case: trace, digest, invariant check and the post-run
-    /// packet-custody conservation audit.
+    /// Runs the case: trace, digest, invariant check, the post-run
+    /// packet-custody conservation audit and the traffic journal.
     pub fn run(&self) -> CaseReport {
-        self.run_sharded(1).0
-    }
-
-    /// [`Self::run`] on `shards` worker threads (1 = the sequential
-    /// oracle). Also returns the open-loop traffic completion-journal
-    /// digest (`None` for closed-loop cases), so determinism stress can
-    /// hold the journal — not just the trace — identical across shard
-    /// counts.
-    pub fn run_sharded(&self, shards: usize) -> (CaseReport, Option<(u64, u64)>) {
         let scenario = self.scenario();
-        let (records, net) = crate::run_case_sharded(&scenario, self.target, self.deadline, shards);
+        let (records, net) = crate::run_case(&scenario, self.target, self.deadline);
         let ctx = CheckContext::for_scenario(&scenario);
         let mut violations = check(&records, &ctx);
         violations.extend(crate::conservation_violations(&net));
         let (count, hash) = trace_digest(&records);
-        let report = CaseReport {
+        CaseReport {
             name: self.name,
             count,
             hash,
             violations,
-        };
-        (report, net.traffic_digest())
+            journal: net.traffic_digest(),
+        }
     }
 }
 
@@ -85,6 +76,9 @@ pub struct CaseReport {
     pub hash: u64,
     /// Invariant violations (empty for a correct stack).
     pub violations: Vec<Violation>,
+    /// The open-loop traffic completion-journal digest
+    /// ([`mwn::Network::traffic_digest`]; `None` for closed-loop cases).
+    pub journal: Option<(u64, u64)>,
 }
 
 impl CaseReport {
@@ -320,12 +314,14 @@ mod tests {
                 count: 7,
                 hash: 0xdead_beef,
                 violations: Vec::new(),
+                journal: None,
             },
             CaseReport {
                 name: "alpha",
                 count: 3,
                 hash: 1,
                 violations: Vec::new(),
+                journal: None,
             },
         ];
         let text = format_digests(&reports);
@@ -353,6 +349,7 @@ mod tests {
             count: 5,
             hash: 0xaa,
             violations: Vec::new(),
+            journal: None,
         };
         assert!(conformance(&ok, &golden).is_none());
         let bad_count = CaseReport { count: 6, ..ok };
@@ -364,6 +361,7 @@ mod tests {
             hash: 0xbb,
             name: "case",
             violations: Vec::new(),
+            journal: None,
         };
         assert!(conformance(&bad_hash, &golden).unwrap().contains("hash"));
         let unknown = CaseReport {
@@ -371,6 +369,7 @@ mod tests {
             count: 5,
             hash: 0xaa,
             violations: Vec::new(),
+            journal: None,
         };
         assert!(conformance(&unknown, &golden).unwrap().contains("bless"));
     }

@@ -13,14 +13,8 @@
 //! mwn bench --record LABEL       append this run to BENCH_engine.json
 //! mwn bench --repeat N           best-of-N wall time per scenario
 //! mwn bench --out FILE           baseline path (default BENCH_engine.json)
-//! mwn bench --shards N           run the engine on N shard workers
 //! mwn bench --case SUBSTR        run only cases whose name contains SUBSTR
 //! ```
-//!
-//! `--shards` runs the sharded parallel engine (results are digest-
-//! identical to the sequential oracle, so events/sec is the only thing
-//! that can move). Sharded entries get distinct labels when recorded, so
-//! `--check` always compares like against like.
 
 use std::time::Instant;
 
@@ -30,6 +24,7 @@ use mwn::{
 };
 use mwn_obs::json::Obj;
 use mwn_phy::DataRate;
+use mwn_runner::query::Json;
 
 use crate::args::{parse, reject_leftovers, take_flag, take_value};
 
@@ -275,8 +270,6 @@ struct Measurement {
     /// Wall seconds the best run spent in lazy transmission-time effect
     /// rebuilds. `medium_lazy` profile bucket.
     medium_lazy_secs: f64,
-    /// Parallel bursts the best run executed (0 on the sequential path).
-    bursts: u64,
     /// Accounted per-node engine state (structs + tracked heap) from
     /// [`mwn::Network::bytes_per_node`], measured at the end of the run.
     bytes_per_node: u64,
@@ -323,7 +316,6 @@ impl Measurement {
             .f64("medium_recompute_secs", self.medium_secs())
             .f64("medium_tick_secs", self.medium_tick_secs)
             .f64("medium_lazy_secs", self.medium_lazy_secs)
-            .u64("bursts", self.bursts)
             .u64("bytes_per_node", self.bytes_per_node);
         let obj = match self.peak_rss_bytes {
             Some(b) => obj.u64("peak_rss_bytes", b),
@@ -333,21 +325,10 @@ impl Measurement {
     }
 }
 
-fn run_case(case: &BenchCase, repeat: u32, shards: usize) -> Measurement {
+fn run_case(case: &BenchCase, repeat: u32) -> Measurement {
     let mut best: Option<Measurement> = None;
-    for rep in 0..repeat.max(1) {
-        let scenario = (case.build)();
-        if rep == 0 && shards > 1 && scenario.traffic.is_some() {
-            // Not silent: the engine accepts --shards but open-loop flow
-            // churn re-keys slots mid-burst, so it runs sequentially.
-            println!(
-                "  note: {}: open-loop traffic runs on the sequential path \
-                 (bursts will read 0)",
-                case.name
-            );
-        }
-        let mut net = scenario.build();
-        net.set_shards(shards);
+    for _ in 0..repeat.max(1) {
+        let mut net = (case.build)().build();
         net.enable_profiling();
         let started = Instant::now();
         net.run_until_delivered(case.target, SimTime::ZERO + case.deadline);
@@ -367,7 +348,6 @@ fn run_case(case: &BenchCase, repeat: u32, shards: usize) -> Measurement {
             wall_secs,
             medium_tick_secs: profile.timed_secs("medium_tick"),
             medium_lazy_secs: profile.timed_secs("medium_lazy"),
-            bursts: net.bursts_run(),
             bytes_per_node: net.bytes_per_node(),
             peak_rss_bytes: peak_rss_bytes(),
         };
@@ -399,10 +379,6 @@ pub fn command(argv: &[String]) -> Result<(), String> {
         Some(v) => parse(&v, "repeat count")?,
         None => 1,
     };
-    let shards: usize = match take_value(&mut argv, "--shards")? {
-        Some(v) => parse::<usize>(&v, "shard count")?.max(1),
-        None => 1,
-    };
     reject_leftovers(&argv)?;
     if record.is_some() && quick {
         return Err("--record requires the full scenario set (drop --quick)".to_string());
@@ -410,15 +386,6 @@ pub fn command(argv: &[String]) -> Result<(), String> {
     if record.is_some() && case_filter.is_some() {
         return Err("--record requires the full scenario set (drop --case)".to_string());
     }
-    // Sharded recordings get a `-sN` label suffix so sequential and
-    // sharded trajectories never silently become each other's baseline.
-    let record = record.map(|l| {
-        if shards > 1 {
-            format!("{l}-s{shards}")
-        } else {
-            l
-        }
-    });
 
     let baseline = std::fs::read_to_string(&out).ok();
     let baseline_eps = baseline.as_deref().map(last_entry_eps);
@@ -439,16 +406,15 @@ pub fn command(argv: &[String]) -> Result<(), String> {
         ));
     }
     println!(
-        "running {} scenario(s), best of {} run(s) each, {} shard(s):",
+        "running {} scenario(s), best of {} run(s) each:",
         selected.len(),
-        repeat.max(1),
-        shards
+        repeat.max(1)
     );
 
     let mut measurements = Vec::new();
     let mut worst_ratio: Option<(f64, &'static str)> = None;
     for case in &selected {
-        let m = run_case(case, repeat, shards);
+        let m = run_case(case, repeat);
         let eps = m.events_per_sec();
         let vs = baseline_eps
             .as_ref()
@@ -458,13 +424,6 @@ pub fn command(argv: &[String]) -> Result<(), String> {
         // cases read 0.0%), so lazy-path regressions are readable at a
         // glance without jq over BENCH_engine.json.
         let medium = format!("  medium {:>4.1}%", m.medium_pct());
-        // Sharded runs always show the burst count — "bursts 0" under
-        // --shards N is exactly the sequential-fallback signal.
-        let bursts = if m.bursts > 0 || shards > 1 {
-            format!("  bursts {}", m.bursts)
-        } else {
-            String::new()
-        };
         let mut mem = format!("  {:.1} KiB/node", m.bytes_per_node as f64 / 1024.0);
         if let Some(rss) = m.peak_rss_bytes {
             mem.push_str(&format!("  rss {:.0} MiB", rss as f64 / (1024.0 * 1024.0)));
@@ -472,7 +431,7 @@ pub fn command(argv: &[String]) -> Result<(), String> {
         match vs {
             Some(r) => {
                 println!(
-                    "  {:<30} {:>12} events {:>8.2} s {:>12.0} ev/s  ({:.2}x vs baseline){mem}{medium}{bursts}",
+                    "  {:<30} {:>12} events {:>8.2} s {:>12.0} ev/s  ({:.2}x vs baseline){mem}{medium}",
                     m.name, m.events, m.wall_secs, eps, r
                 );
                 if worst_ratio.is_none_or(|(w, _)| r < w) {
@@ -480,7 +439,7 @@ pub fn command(argv: &[String]) -> Result<(), String> {
                 }
             }
             None => println!(
-                "  {:<30} {:>12} events {:>8.2} s {:>12.0} ev/s  (no baseline){mem}{medium}{bursts}",
+                "  {:<30} {:>12} events {:>8.2} s {:>12.0} ev/s  (no baseline){mem}{medium}",
                 m.name, m.events, m.wall_secs, eps
             ),
         }
@@ -517,8 +476,8 @@ pub fn command(argv: &[String]) -> Result<(), String> {
 
 // ---- BENCH_engine.json ----------------------------------------------------
 //
-// The file is JSON, laid out one entry per line so entries can be parsed
-// (and preserved across `--record`) without a full JSON parser:
+// The file is JSON, laid out one entry per line so each entry can be
+// parsed on its own (and preserved verbatim across `--record`):
 //
 //   {
 //     "schema": "mwn-bench-engine/1",
@@ -540,38 +499,19 @@ fn entry_lines(text: &str) -> Vec<String> {
 
 /// Per-scenario events/sec of the *last* (most recent) entry.
 fn last_entry_eps(text: &str) -> Vec<(String, f64)> {
-    let Some(last) = entry_lines(text).into_iter().next_back() else {
+    let Some(entry) = entry_lines(text).pop().and_then(|l| Json::parse(&l).ok()) else {
         return Vec::new();
     };
-    let mut out = Vec::new();
-    // Scenario objects never nest, so splitting on '{' yields one chunk
-    // per scenario object (plus the entry prefix, which has no "name").
-    for chunk in last.split('{') {
-        let Some(name) = extract_str(chunk, "name") else {
-            continue;
-        };
-        if let Some(eps) = extract_num(chunk, "events_per_sec") {
-            out.push((name, eps));
-        }
-    }
-    out
-}
-
-fn extract_str(chunk: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = chunk.find(&pat)? + pat.len();
-    let end = chunk[start..].find('"')?;
-    Some(chunk[start..start + end].to_string())
-}
-
-fn extract_num(chunk: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = chunk.find(&pat)? + pat.len();
-    let rest = &chunk[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    entry
+        .get("scenarios")
+        .and_then(Json::as_arr)
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|s| {
+            let name = s.get("name")?.as_str()?.to_string();
+            Some((name, s.get("events_per_sec")?.as_f64()?))
+        })
+        .collect()
 }
 
 fn render_entry(label: &str, measurements: &[Measurement]) -> String {
@@ -597,7 +537,7 @@ fn render_file(
     let mut entries = existing.map(entry_lines).unwrap_or_default();
     let taken: Vec<String> = entries
         .iter()
-        .filter_map(|e| extract_str(e, "label"))
+        .filter_map(|e| Some(Json::parse(e).ok()?.get("label")?.as_str()?.to_string()))
         .collect();
     if taken.iter().any(|t| t == label) {
         // Suggest the first numeric suffix that is actually free.
@@ -642,7 +582,6 @@ mod tests {
             wall_secs: wall,
             medium_tick_secs: 0.045,
             medium_lazy_secs: 0.08,
-            bursts: 0,
             bytes_per_node: 2_048,
             peak_rss_bytes: Some(64 << 20),
         }
@@ -659,6 +598,15 @@ mod tests {
         assert_eq!(eps.len(), 1);
         assert_eq!(eps[0].0, "a");
         assert!((eps[0].1 - 8000.0).abs() < 1e-9);
+        // The committed trajectory parses too, old entries (with keys
+        // this build no longer writes) included.
+        let committed = include_str!("../../../BENCH_engine.json");
+        for line in entry_lines(committed) {
+            Json::parse(&line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        }
+        assert!(last_entry_eps(committed)
+            .iter()
+            .any(|(name, eps)| name == "chain8-newreno-2m" && *eps > 0.0));
     }
 
     #[test]
@@ -672,23 +620,26 @@ mod tests {
         assert!(err.contains("\"pre-3\""), "suggestion not free: {err}");
     }
 
+    /// Numeric field `key` of a rendered scenario object.
+    fn num(line: &str, key: &str) -> Option<f64> {
+        Json::parse(line).unwrap().get(key)?.as_f64()
+    }
+
     #[test]
     fn fmt_f64_in_scenario_json_is_parseable() {
         let line = meas("chain", 123, 0.25).to_json();
-        assert_eq!(extract_str(&line, "name").as_deref(), Some("chain"));
-        assert_eq!(extract_num(&line, "events"), Some(123.0));
-        assert_eq!(extract_num(&line, "events_per_sec"), Some(492.0));
-        assert_eq!(extract_num(&line, "bytes_per_node"), Some(2048.0));
-        assert_eq!(
-            extract_num(&line, "peak_rss_bytes"),
-            Some((64u64 << 20) as f64)
-        );
+        let parsed = Json::parse(&line).unwrap();
+        assert_eq!(parsed.get("name").and_then(Json::as_str), Some("chain"));
+        assert_eq!(num(&line, "events"), Some(123.0));
+        assert_eq!(num(&line, "events_per_sec"), Some(492.0));
+        assert_eq!(num(&line, "bytes_per_node"), Some(2048.0));
+        assert_eq!(num(&line, "peak_rss_bytes"), Some((64u64 << 20) as f64));
         // The split medium buckets ride along, and the pre-split sum
         // keeps its historical key so old and new entries compare
         // row-by-row.
-        assert_eq!(extract_num(&line, "medium_tick_secs"), Some(0.045));
-        assert_eq!(extract_num(&line, "medium_lazy_secs"), Some(0.08));
-        assert_eq!(extract_num(&line, "medium_recompute_secs"), Some(0.125));
+        assert_eq!(num(&line, "medium_tick_secs"), Some(0.045));
+        assert_eq!(num(&line, "medium_lazy_secs"), Some(0.08));
+        assert_eq!(num(&line, "medium_recompute_secs"), Some(0.125));
     }
 
     #[test]
@@ -714,10 +665,10 @@ mod tests {
             line.contains(r#""peak_rss_bytes":null"#),
             "schema lost the field: {line}"
         );
-        assert_eq!(extract_num(&line, "peak_rss_bytes"), None);
+        assert_eq!(num(&line, "peak_rss_bytes"), None);
         // The numeric fields around it still parse.
-        assert_eq!(extract_num(&line, "bytes_per_node"), Some(2048.0));
-        assert_eq!(extract_num(&line, "events_per_sec"), Some(492.0));
+        assert_eq!(num(&line, "bytes_per_node"), Some(2048.0));
+        assert_eq!(num(&line, "events_per_sec"), Some(492.0));
     }
 
     #[test]

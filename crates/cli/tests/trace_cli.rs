@@ -48,3 +48,33 @@ fn trace_unknown_transport_exits_2() {
         "diagnostic should name the bad variant: {stderr}"
     );
 }
+
+/// Asserts the one-line error contract: exit code 2, a single `error:`
+/// line on stderr, and no usage dump on either stream.
+fn assert_one_line_error(out: &std::process::Output) -> String {
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8(out.stderr.clone()).expect("utf-8");
+    assert_eq!(stderr.lines().count(), 1, "not one line: {stderr:?}");
+    assert!(stderr.starts_with("error: "), "{stderr:?}");
+    assert!(
+        !stdout.contains("USAGE") && !stderr.contains("USAGE"),
+        "usage text dumped: {stdout}{stderr}"
+    );
+    stderr
+}
+
+/// An invalid traffic model is a usage error, not a panic.
+#[test]
+fn traffic_zero_flows_is_a_one_line_error() {
+    let out = mwn(&["traffic", "--nodes", "10", "--flows", "0"]);
+    let stderr = assert_one_line_error(&out);
+    assert!(stderr.contains("max_flows"), "{stderr}");
+}
+
+#[test]
+fn unknown_bench_flag_is_a_one_line_error() {
+    let out = mwn(&["bench", "--bogus"]);
+    let stderr = assert_one_line_error(&out);
+    assert!(stderr.contains("--bogus"), "{stderr}");
+}

@@ -1,11 +1,10 @@
 //! The network: every protocol layer wired to one event loop.
 //!
-//! Event *dispatch* lives in [`cascade`], written once over abstract
-//! effect/state traits so the sequential oracle and the sharded batch
-//! workers run the identical code. This module owns the state (and the
-//! sequential instantiation); [`batch`] owns the parallel one.
+//! This module owns the state and the run loops; event *dispatch* — one
+//! event's fan-out through PHY, MAC, AODV and transport — lives in
+//! [`cascade`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use mwn_aodv::{AodvCounters, NodeMap, Router};
@@ -28,14 +27,12 @@ use crate::mobility::MobilityModel;
 use crate::scenario::{Scenario, Transport};
 use crate::trace::{TraceBuffer, TraceRecord};
 
-mod batch;
 mod cascade;
 mod flows;
 mod frames;
 
-use batch::BatchRuntime;
-use cascade::{Cascade, Pools, SeqEffects, SeqStates};
-use flows::{FlowDst, FlowMeta, FlowSrc, Flows};
+use cascade::Pools;
+use flows::{Flow, Flows};
 use frames::FrameSlab;
 
 /// Which end of a flow a transport timer belongs to.
@@ -200,19 +197,14 @@ pub enum StepOutcome {
 pub struct Network {
     now: SimTime,
     queue: EventQueue<Event>,
-    /// Events popped ahead of time (e.g. a parallel batch cut short) and
-    /// not yet handled. Always consumed before the queue, preserving the
-    /// global `(time, seq)` order; empty whenever `shards <= 1`.
-    pending: VecDeque<(SimTime, Event)>,
     medium: Medium,
     params: mwn_mac80211::MacParams,
     transceivers: Vec<Transceiver>,
     macs: Vec<Dcf>,
     routers: Vec<Router>,
     energy: Vec<EnergyMeter>,
-    /// Flow slab, split into meta/src/dst halves for the sharded engine:
-    /// persistent flows occupy slots `0..n` forever; traffic flows churn
-    /// through the remainder via the free list.
+    /// Flow slab: persistent flows occupy slots `0..n` forever; traffic
+    /// flows churn through the remainder via the free list.
     flows: Flows,
     /// Open-loop workload state, if the scenario has one.
     traffic: Option<TrafficState>,
@@ -235,8 +227,7 @@ pub struct Network {
     /// Opt-in custody tracking for the conservation audit.
     audit: Option<ConservationAudit>,
     /// Always-on flight recorder of the rare events, shared with the
-    /// panic hook via [`mwn_obs::flight::register`]. `Arc<Mutex<_>>`
-    /// (not `Rc<RefCell<_>>`) so the network stays `Send`.
+    /// panic hook via [`mwn_obs::flight::register`].
     flight: Arc<Mutex<FlightRecorder>>,
     mobility: Option<MobilityModel>,
     /// Reused moved-node batch for the mobility tick: only nodes whose
@@ -248,15 +239,8 @@ pub struct Network {
     /// transmission-time refresh. Observables are identical either way —
     /// this switch exists so the lazy-vs-eager differential can prove it.
     eager_medium: bool,
-    /// Recycled action/event buffers for the sequential cascade lane.
+    /// Recycled action/event buffers for the cascade.
     pools: Pools,
-    /// The sharded batch engine's worker pool and per-worker contexts;
-    /// `None` means pure sequential execution (the oracle path).
-    batch: Option<BatchRuntime>,
-    /// Most in-order packets a single `SignalEnd` can deliver (the
-    /// largest receive window across scenario flows): the batch engine's
-    /// overshoot bound for delivery-targeted runs.
-    delivery_bound: u64,
 }
 
 impl std::fmt::Debug for Network {
@@ -323,25 +307,19 @@ impl Network {
                     SinkAgent::Udp(UdpSink::new()),
                 ),
             };
-            flows.push_persistent(
-                FlowMeta {
-                    src: spec.src,
-                    dst: spec.dst,
-                    class: PERSISTENT,
-                    started: SimTime::ZERO,
-                    carried: 0,
-                    response: None,
-                },
-                FlowSrc {
-                    source,
-                    cwnd_twa: TimeWeightedAverage::new(SimTime::ZERO, 1.0),
-                },
-                FlowDst {
-                    sink,
-                    delivered: 0,
-                    last_delivery: None,
-                },
-            );
+            flows.push_persistent(Flow {
+                src: spec.src,
+                dst: spec.dst,
+                source,
+                sink,
+                delivered: 0,
+                last_delivery: None,
+                cwnd_twa: TimeWeightedAverage::new(SimTime::ZERO, 1.0),
+                class: PERSISTENT,
+                started: SimTime::ZERO,
+                carried: 0,
+                response: None,
+            });
             // Stagger flow starts slightly to de-synchronise discoveries.
             let start = SimTime::ZERO + SimDuration::from_millis(10 * i as u64);
             queue.schedule(start, Event::FlowStart { flow: flow_id });
@@ -406,25 +384,10 @@ impl Network {
         )));
         flight::register(&flight);
 
-        // One SignalEnd at a TCP sink can release a whole reassembly
-        // buffer in order — at most the advertised window. Paced UDP
-        // delivers one packet per arrival.
-        let delivery_bound = scenario
-            .flows
-            .iter()
-            .map(|spec| match spec.transport {
-                Transport::Tcp { config, .. } => u64::from(config.wmax),
-                Transport::PacedUdp { .. } => 1,
-            })
-            .max()
-            .unwrap_or(1)
-            .max(1);
-
         let flow_count = scenario.flows.len();
         Network {
             now: SimTime::ZERO,
             queue,
-            pending: VecDeque::new(),
             medium,
             params,
             transceivers,
@@ -448,8 +411,6 @@ impl Network {
             moved: Vec::new(),
             eager_medium: false,
             pools: Pools::default(),
-            batch: None,
-            delivery_bound,
         }
     }
 
@@ -495,30 +456,6 @@ impl Network {
     /// The engine profile, if profiling was enabled.
     pub fn profile(&self) -> Option<&EngineProfile> {
         self.profile.as_ref()
-    }
-
-    /// Sets the worker count for the sharded batch engine. `1` (the
-    /// default) runs the pure sequential oracle; `n > 1` lets eligible
-    /// signal-event bursts run on `n` shards with results replayed in
-    /// the sequential order, so every observable output is unchanged.
-    pub fn set_shards(&mut self, shards: usize) {
-        let shards = shards.max(1);
-        if shards == self.shards() {
-            return;
-        }
-        self.batch = (shards > 1).then(|| BatchRuntime::new(shards));
-    }
-
-    /// The current worker count (`1` = sequential oracle).
-    pub fn shards(&self) -> usize {
-        self.batch.as_ref().map_or(1, BatchRuntime::shards)
-    }
-
-    /// Parallel bursts executed so far (0 on the sequential path). A
-    /// sharded run that stays at 0 never left the oracle — tests use this
-    /// to prove the parallel engine actually engaged.
-    pub fn bursts_run(&self) -> u64 {
-        self.batch.as_ref().map_or(0, BatchRuntime::bursts)
     }
 
     /// Enables custody tracking so [`Network::conservation_report`] can
@@ -664,7 +601,7 @@ impl Network {
     /// slot's generation moves on; callers must re-key per batch).
     pub fn flow_at(&self, slot: usize) -> Option<FlowId> {
         let s = self.flows.slots.get(slot)?;
-        s.meta
+        s.flow
             .as_ref()
             .map(|_| FlowId::from_parts(slot as u32, s.generation))
     }
@@ -672,13 +609,13 @@ impl Network {
     /// In-order packets delivered by `flow`'s sink (0 once the flow has
     /// completed and its slot was vacated).
     pub fn flow_delivered(&self, flow: FlowId) -> u64 {
-        self.flows.dst_ref(flow).map_or(0, |d| d.delivered)
+        self.flows.get(flow).map_or(0, |f| f.delivered)
     }
 
     /// Sender statistics for a TCP flow (`None` for paced UDP or a
     /// vacated slot).
     pub fn flow_sender_stats(&self, flow: FlowId) -> Option<&TcpSenderStats> {
-        match &self.flows.src_ref(flow)?.source {
+        match &self.flows.get(flow)?.source {
             SourceAgent::Tcp(s) => Some(s.stats()),
             SourceAgent::Udp(_) => None,
         }
@@ -687,7 +624,7 @@ impl Network {
     /// Sink statistics for a TCP flow (`None` for paced UDP or a vacated
     /// slot).
     pub fn flow_sink_stats(&self, flow: FlowId) -> Option<&TcpSinkStats> {
-        match &self.flows.dst_ref(flow)?.sink {
+        match &self.flows.get(flow)?.sink {
             SinkAgent::Tcp(s) => Some(s.stats()),
             SinkAgent::Udp(_) => None,
         }
@@ -695,7 +632,7 @@ impl Network {
 
     /// When `flow`'s sink last advanced, if it ever did.
     pub fn flow_last_delivery(&self, flow: FlowId) -> Option<SimTime> {
-        self.flows.dst_ref(flow)?.last_delivery
+        self.flows.get(flow)?.last_delivery
     }
 
     /// Time-weighted average congestion window of `flow` since the last
@@ -703,15 +640,17 @@ impl Network {
     /// vacated slot).
     pub fn flow_avg_window(&self, flow: FlowId) -> f64 {
         self.flows
-            .src_ref(flow)
-            .map_or(1.0, |s| s.cwnd_twa.average(self.now))
+            .get(flow)
+            .map_or(1.0, |f| f.cwnd_twa.average(self.now))
     }
 
     /// Restarts the per-flow window averages (called at batch boundaries).
     pub fn reset_window_averages(&mut self) {
         let now = self.now;
-        for src in self.flows.srcs.iter_mut().flatten() {
-            src.cwnd_twa.reset(now);
+        for slot in &mut self.flows.slots {
+            if let Some(f) = &mut slot.flow {
+                f.cwnd_twa.reset(now);
+            }
         }
     }
 
@@ -742,24 +681,19 @@ impl Network {
                     ifq_depth: self.macs[i].queue_len() as u64,
                 })
                 .collect(),
-            flows: (0..self.flows.len())
-                .map(|i| {
-                    if self.flows.slots[i].meta.is_none() {
-                        return FlowCounters {
-                            sender: None,
-                            sink: None,
-                        };
-                    }
-                    FlowCounters {
-                        sender: match self.flows.srcs[i].as_ref().map(|s| &s.source) {
-                            Some(SourceAgent::Tcp(s)) => Some(*s.stats()),
-                            _ => None,
-                        },
-                        sink: match self.flows.dsts[i].as_ref().map(|d| &d.sink) {
-                            Some(SinkAgent::Tcp(s)) => Some(*s.stats()),
-                            _ => None,
-                        },
-                    }
+            flows: self
+                .flows
+                .slots
+                .iter()
+                .map(|slot| FlowCounters {
+                    sender: match slot.flow.as_ref().map(|f| &f.source) {
+                        Some(SourceAgent::Tcp(s)) => Some(*s.stats()),
+                        _ => None,
+                    },
+                    sink: match slot.flow.as_ref().map(|f| &f.sink) {
+                        Some(SinkAgent::Tcp(s)) => Some(*s.stats()),
+                        _ => None,
+                    },
                 })
                 .collect(),
         }
@@ -777,15 +711,6 @@ impl Network {
             .sum()
     }
 
-    /// Timestamp of the next event to be handled, honouring the carried
-    /// `pending` buffer before the queue.
-    fn peek_next_time(&mut self) -> Option<SimTime> {
-        if let Some((t, _)) = self.pending.front() {
-            return Some(*t);
-        }
-        self.queue.peek_time()
-    }
-
     /// Runs until `target` total packets are delivered, the simulated-time
     /// `deadline` passes, or the event queue drains.
     pub fn run_until_delivered(&mut self, target: u64, deadline: SimTime) -> StepOutcome {
@@ -793,14 +718,10 @@ impl Network {
             if self.total_delivered >= target {
                 break StepOutcome::TargetReached;
             }
-            match self.peek_next_time() {
+            match self.queue.peek_time() {
                 None => break StepOutcome::Quiescent,
                 Some(t) if t > deadline => break StepOutcome::DeadlineExpired,
-                Some(_) => {
-                    if !self.try_batch(deadline, Some(target)) {
-                        self.step();
-                    }
-                }
+                Some(_) => self.step(),
             }
         };
         self.flush_medium_profile();
@@ -823,7 +744,7 @@ impl Network {
             if self.traffic_done() {
                 break StepOutcome::TargetReached;
             }
-            match self.peek_next_time() {
+            match self.queue.peek_time() {
                 None => break StepOutcome::Quiescent,
                 Some(t) if t > deadline => break StepOutcome::DeadlineExpired,
                 Some(_) => self.step(),
@@ -864,13 +785,11 @@ impl Network {
 
     /// Runs until simulated time `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(t) = self.peek_next_time() {
+        while let Some(t) = self.queue.peek_time() {
             if t > deadline {
                 break;
             }
-            if !self.try_batch(deadline, None) {
-                self.step();
-            }
+            self.step();
         }
         self.now = self.now.max(deadline);
         self.flush_medium_profile();
@@ -878,56 +797,14 @@ impl Network {
 
     /// Processes a single event. No-op if the queue is empty.
     pub fn step(&mut self) {
-        let next = self.pending.pop_front().or_else(|| self.queue.pop());
-        let Some((t, event)) = next else {
+        let Some((t, event)) = self.queue.pop() else {
             return;
         };
         self.now = t;
         if let Some(p) = &mut self.profile {
-            p.record(event_kind(&event), self.queue.len() + self.pending.len());
+            p.record(event_kind(&event), self.queue.len());
         }
         self.handle(event);
-    }
-
-    // ---- event dispatch --------------------------------------------------
-
-    fn handle(&mut self, event: Event) {
-        if matches!(event, Event::MobilityTick) {
-            self.mobility_tick();
-            return;
-        }
-        let unattributed = self.ledger.class_names().len() - 1;
-        let mut states = SeqStates {
-            transceivers: &mut self.transceivers,
-            macs: &mut self.macs,
-            routers: &mut self.routers,
-        };
-        let mut eff = SeqEffects {
-            queue: &mut self.queue,
-            mac_timers: &mut self.mac_timers,
-            discovery_timers: &mut self.discovery_timers,
-            transport_timers: &mut self.transport_timers,
-            trace: &mut self.trace,
-            probes: &mut self.probes,
-            ledger: &mut self.ledger,
-            audit: &mut self.audit,
-            flight: &self.flight,
-            total_delivered: &mut self.total_delivered,
-            frames: &mut self.frames,
-            medium: &mut self.medium,
-            energy: &mut self.energy,
-            params: &self.params,
-        };
-        let mut cascade = Cascade {
-            now: self.now,
-            states: &mut states,
-            flows: &mut self.flows,
-            traffic: self.traffic.as_mut(),
-            eff: &mut eff,
-            pools: &mut self.pools,
-            unattributed,
-        };
-        cascade.handle_event(event);
     }
 
     fn mobility_tick(&mut self) {
@@ -997,9 +874,8 @@ mod tests {
         SimTime::ZERO + SimDuration::from_secs(secs)
     }
 
-    /// Stage-A proof for the sharded engine: with `Rc`/`RefCell` gone, a
-    /// whole network (and thus any disjoint slice of its node state) can
-    /// cross threads.
+    /// A network holds no thread-bound state (`Rc`, `RefCell`), so a
+    /// built network can be moved to another thread and run there.
     #[test]
     fn network_is_send() {
         fn assert_send<T: Send>() {}
@@ -1154,7 +1030,7 @@ mod tests {
         fs.dedup();
         assert_eq!(fs.len(), net.flows.free.len(), "free list has duplicates");
         for &slot in &net.flows.free {
-            assert!(net.flows.slots[slot as usize].meta.is_none());
+            assert!(net.flows.slots[slot as usize].flow.is_none());
             assert!(net.flows.slots[slot as usize].generation > 0);
         }
     }

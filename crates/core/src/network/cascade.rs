@@ -1,120 +1,37 @@
-//! The event cascade, written once and instantiated twice.
+//! Event dispatch: one event's fan-out through the layers.
 //!
 //! Handling one event (a signal edge, a timer, a delivered packet) fans
 //! out through the layers: PHY → MAC → AODV → transport → back down to
-//! the MAC. PR 8 runs these cascades both *sequentially* (the oracle
-//! path, byte-identical to the pre-sharding engine) and *inside a
-//! parallel batch* on worker threads. Maintaining two hand-mirrored
-//! copies of ~500 lines of ordering-sensitive dispatch would make digest
-//! equality a permanent debugging exercise, so the cascade is generic
-//! over three capability traits instead:
-//!
-//! * [`Effects`] — every *global* side effect (scheduling, timer tables,
-//!   trace/probe/ledger/audit/flight records, frame-slab access, the
-//!   delivered counter). The sequential impl ([`SeqEffects`]) applies
-//!   them immediately; the worker impl captures them as replayable ops.
-//! * [`FlowStore`](super::flows::FlowStore) — flow state, either the real
-//!   store or a worker's ownership-checked view.
-//! * [`NodeStates`] — per-node protocol state (transceiver, MAC, router),
-//!   either plain slices or disjoint shared slices.
-//!
-//! A cascade only ever touches the *current node's* state plus flow
-//! halves anchored at that node — the locality fact the batch engine's
-//! safety argument rests on (see `EXPERIMENTS.md`).
+//! the MAC. Each layer reports what it wants done as a list of actions;
+//! the `apply_*` methods decompose each list in order and apply every
+//! action — scheduling, timer tables, the trace/probe/ledger/audit/flight
+//! side-bands — recursing when an action hands a packet to another layer.
+//! The state lives on [`Network`] (the parent module); this module is its
+//! dispatch.
 
-use std::sync::{Arc, Mutex};
-
-use mwn_aodv::{AodvAction, AodvDropReason, Router};
-use mwn_mac80211::{Dcf, MacAction, MacDropReason, MacParams, MacTimer};
-use mwn_obs::flight::{FlightKind, FlightRecord, FlightRecorder, NO_REASON};
-use mwn_obs::{ConservationAudit, DropLedger, DropReason, ProbeBuffer, ProbeKind};
-use mwn_phy::{EnergyMeter, Medium, RadioEvent, Transceiver, TxId};
+use mwn_aodv::{AodvAction, AodvDropReason};
+use mwn_mac80211::{MacAction, MacDropReason, MacTimer};
+use mwn_obs::flight::{FlightKind, FlightRecord, NO_REASON};
+use mwn_obs::{DropReason, ProbeKind};
+use mwn_phy::RadioEvent;
 use mwn_pkt::{Body, FlowId, MacFrame, NodeId, Packet};
 use mwn_sim::stats::TimeWeightedAverage;
 use mwn_sim::{EventId, EventQueue, SimTime};
 use mwn_tcp::{TcpSender, TcpSink, TransportAction, TransportTimer};
 
 use crate::scenario::Transport;
-use crate::trace::{TraceBuffer, TraceEvent, TraceRecord};
+use crate::trace::{TraceEvent, TraceRecord};
 
-use super::flows::{FlowDst, FlowMeta, FlowSrc, FlowStore};
-use super::frames::FrameSlab;
+use super::flows::Flow;
 use super::{
-    fnv_mix, transport_flow, Event, Role, SinkAgent, SourceAgent, TrafficState, JOURNAL_ARRIVAL,
+    fnv_mix, transport_flow, Event, Network, Role, SinkAgent, SourceAgent, JOURNAL_ARRIVAL,
     JOURNAL_COMPLETION, PERSISTENT,
 };
-
-/// Per-node protocol state, indexed by node. The sequential impl hands
-/// out slice elements; the worker impl checks shard ownership first.
-pub(super) trait NodeStates {
-    fn tr(&mut self, node: NodeId) -> &mut Transceiver;
-    fn mac(&mut self, node: NodeId) -> &mut Dcf;
-    fn router(&mut self, node: NodeId) -> &mut Router;
-}
-
-/// Every side effect a cascade can have outside node-local protocol
-/// state. Times are absolute (the cascade adds `now` before calling), so
-/// a captured op replays without re-deriving the clock.
-pub(super) trait Effects {
-    fn schedule(&mut self, time: SimTime, event: Event);
-    fn set_mac_timer(&mut self, time: SimTime, node: NodeId, timer: MacTimer);
-    fn cancel_mac_timer(&mut self, node: NodeId, timer: MacTimer);
-    /// Forgets a MAC timer id whose event just fired (no cancellation).
-    fn clear_mac_timer(&mut self, node: NodeId, timer: MacTimer);
-    fn set_transport_timer(
-        &mut self,
-        time: SimTime,
-        flow: FlowId,
-        role: Role,
-        timer: TransportTimer,
-    );
-    fn cancel_transport_timer(&mut self, flow: FlowId, role: Role, timer: TransportTimer);
-    /// Forgets a transport timer id whose event just fired.
-    fn clear_transport_timer(&mut self, flow: FlowId, role: Role, timer: TransportTimer);
-    /// Cancels every timer of a completing flow (both roles).
-    fn cancel_all_transport_timers(&mut self, flow: FlowId);
-    /// Grows the transport timer table alongside the flow slab.
-    fn ensure_transport_timer_capacity(&mut self, len: usize);
-    fn set_discovery_timer(&mut self, time: SimTime, node: NodeId, dst: NodeId);
-    fn cancel_discovery_timer(&mut self, node: NodeId, dst: NodeId);
-    /// Forgets a discovery timer id whose event just fired.
-    fn clear_discovery_timer(&mut self, node: NodeId, dst: NodeId);
-    /// Records a trace event; the closure must not run when tracing is
-    /// disabled (the sequential digests depend on that laziness only for
-    /// speed — the closure is pure).
-    fn trace(&mut self, now: SimTime, node: NodeId, event: impl FnOnce() -> TraceEvent);
-    fn probe(&mut self, now: SimTime, kind: ProbeKind, id: u32, value: f64);
-    fn flight(&mut self, record: FlightRecord);
-    fn ledger_drop(&mut self, node: usize, class: usize, reason: DropReason);
-    fn audit_deliver_up(&mut self, node: usize, flow: u32);
-    fn audit_handoff(&mut self, node: usize, flow: u32);
-    fn audit_consume(&mut self, node: usize, flow: u32);
-    fn audit_originate(&mut self, node: usize, flow: u32);
-    fn audit_terminal_drop(&mut self, node: usize, flow: u32);
-    fn add_delivered(&mut self, n: u64);
-    /// The shared payload of transmission `tx`, if still on the air.
-    fn frame(&self, tx: TxId) -> Option<&MacFrame>;
-    /// Drops one receiver's claim on `tx` (the slab frees at zero).
-    fn release_frame(&mut self, tx: TxId);
-    /// Puts `frame` on the air from `node`: schedules the signal edges at
-    /// every receiver, meters energy, and starts the local transceiver
-    /// (whose radio events land in `evs` for the cascade to process).
-    /// Worker cascades never transmit — see the batch safety argument.
-    fn start_tx(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        frame: MacFrame,
-        tr: &mut Transceiver,
-        evs: &mut Vec<RadioEvent>,
-    );
-}
 
 /// Recycled action/event buffers. Dispatch re-enters (a delivered frame
 /// can trigger a new send), so each taker pops its own buffer and the
 /// apply path returns it once drained — the steady state allocates
-/// nothing. One `Pools` exists per execution lane (the sequential loop,
-/// and one per batch worker).
+/// nothing.
 #[derive(Debug, Default)]
 pub(super) struct Pools {
     pub mac: Vec<Vec<MacAction>>,
@@ -125,34 +42,41 @@ pub(super) struct Pools {
     pub flow_scratch: Vec<FlowId>,
 }
 
-/// One event's fan-out through the layers, over abstract state/effects.
-pub(super) struct Cascade<'a, E, F, S> {
-    pub now: SimTime,
-    pub states: &'a mut S,
-    pub flows: &'a mut F,
-    /// Open-loop workload state; `None` on worker cascades (traffic
-    /// scenarios never batch) and for scenarios without a workload.
-    pub traffic: Option<&'a mut TrafficState>,
-    pub eff: &'a mut E,
-    pub pools: &'a mut Pools,
-    /// Index of the trailing `unattributed` ledger class.
-    pub unattributed: usize,
+/// Cancels the pending timer event a table slot names, if any.
+fn cancel_timer(queue: &mut EventQueue<Event>, slot: &mut Option<EventId>) {
+    if let Some(old) = slot.take() {
+        queue.cancel(old);
+    }
 }
 
-impl<E: Effects, F: FlowStore, S: NodeStates> Cascade<'_, E, F, S> {
-    /// Full dispatch: every event kind except `MobilityTick`, which the
-    /// sequential loop handles directly (it rebuilds the medium).
-    pub(super) fn handle_event(&mut self, event: Event) {
+impl Network {
+    /// Dispatches one event popped from the queue at `self.now`.
+    pub(super) fn handle(&mut self, event: Event) {
         match event {
-            Event::SignalStart { node, tx, class } => self.signal_start(node, tx, class),
-            Event::SignalEnd { node, tx } => self.signal_end(node, tx),
-            Event::TxEnd { node } => self.tx_end(node),
-            Event::Mac { node, timer } => {
-                self.eff.clear_mac_timer(node, timer);
+            Event::SignalStart { node, tx, class } => {
+                let mut evs = self.pools.radio.pop().unwrap_or_default();
+                self.transceivers[node.index()].signal_start(tx, class, &mut evs);
+                self.process_radio_events(node, evs);
+            }
+            Event::SignalEnd { node, tx } => {
+                let mut evs = self.pools.radio.pop().unwrap_or_default();
+                self.transceivers[node.index()].signal_end(tx, &mut evs);
+                self.process_radio_events(node, evs);
+                self.frames.release(tx);
+            }
+            Event::TxEnd { node } => {
+                let mut evs = self.pools.radio.pop().unwrap_or_default();
+                self.transceivers[node.index()].tx_end(&mut evs);
                 let mut actions = self.pools.mac.pop().unwrap_or_default();
-                self.states
-                    .mac(node)
-                    .on_timer(self.now, timer, &mut actions);
+                self.macs[node.index()].on_tx_done(self.now, &mut actions);
+                self.apply_mac_actions(node, actions);
+                self.process_radio_events(node, evs);
+            }
+            Event::Mac { node, timer } => {
+                // The timer fired: forget its id without cancelling.
+                self.mac_timers[node.index()][timer.index()] = None;
+                let mut actions = self.pools.mac.pop().unwrap_or_default();
+                self.macs[node.index()].on_timer(self.now, timer, &mut actions);
                 self.apply_mac_actions(node, actions);
             }
             Event::AodvSend {
@@ -161,17 +85,13 @@ impl<E: Effects, F: FlowStore, S: NodeStates> Cascade<'_, E, F, S> {
                 packet,
             } => {
                 let mut actions = self.pools.mac.pop().unwrap_or_default();
-                self.states
-                    .mac(node)
-                    .enqueue(self.now, next_hop, packet, &mut actions);
+                self.macs[node.index()].enqueue(self.now, next_hop, packet, &mut actions);
                 self.apply_mac_actions(node, actions);
             }
             Event::AodvDiscovery { node, dst } => {
-                self.eff.clear_discovery_timer(node, dst);
+                self.discovery_timers[node.index()].remove(dst);
                 let mut actions = self.pools.aodv.pop().unwrap_or_default();
-                self.states
-                    .router(node)
-                    .on_discovery_timeout(self.now, dst, &mut actions);
+                self.routers[node.index()].on_discovery_timeout(self.now, dst, &mut actions);
                 self.apply_aodv_actions(node, actions);
             }
             Event::Transport { flow, role, timer } => {
@@ -179,55 +99,22 @@ impl<E: Effects, F: FlowStore, S: NodeStates> Cascade<'_, E, F, S> {
                 // generation firing here should be impossible — but if one
                 // ever slipped through, clearing the slot would wipe the
                 // next tenant's timer id, so guard anyway.
-                if self.flows.meta(flow).is_some() {
-                    self.eff.clear_transport_timer(flow, role, timer);
+                if self.flows.get(flow).is_some() {
+                    self.transport_timers[flow.slot() as usize][role.index()][timer.index()] = None;
                     self.dispatch_transport_timer(flow, role, timer);
                 }
             }
             Event::FlowStart { flow } => self.flow_start(flow),
             Event::TrafficArrival { class } => self.handle_traffic_arrival(class),
-            Event::MobilityTick => unreachable!("mobility ticks are handled sequentially"),
+            Event::MobilityTick => self.mobility_tick(),
         }
-    }
-
-    /// Worker dispatch: the three batch-eligible kinds, by reference
-    /// (their payloads are `Copy`; the caller keeps the event for the
-    /// replay bookkeeping).
-    pub(super) fn handle_signal(&mut self, event: &Event) {
-        match *event {
-            Event::SignalStart { node, tx, class } => self.signal_start(node, tx, class),
-            Event::SignalEnd { node, tx } => self.signal_end(node, tx),
-            Event::TxEnd { node } => self.tx_end(node),
-            _ => unreachable!("only signal-edge events are batched"),
-        }
-    }
-
-    fn signal_start(&mut self, node: NodeId, tx: TxId, class: mwn_phy::SignalClass) {
-        let mut evs = self.pools.radio.pop().unwrap_or_default();
-        self.states.tr(node).signal_start(tx, class, &mut evs);
-        self.process_radio_events(node, evs);
-    }
-
-    fn signal_end(&mut self, node: NodeId, tx: TxId) {
-        let mut evs = self.pools.radio.pop().unwrap_or_default();
-        self.states.tr(node).signal_end(tx, &mut evs);
-        self.process_radio_events(node, evs);
-        self.eff.release_frame(tx);
-    }
-
-    fn tx_end(&mut self, node: NodeId) {
-        let mut evs = self.pools.radio.pop().unwrap_or_default();
-        self.states.tr(node).tx_end(&mut evs);
-        let mut actions = self.pools.mac.pop().unwrap_or_default();
-        self.states.mac(node).on_tx_done(self.now, &mut actions);
-        self.apply_mac_actions(node, actions);
-        self.process_radio_events(node, evs);
     }
 
     /// One open-loop arrival: draw the flow, reschedule the class's next
     /// arrival, and spawn the request leg.
     fn handle_traffic_arrival(&mut self, class: usize) {
-        let Some(t) = self.traffic.as_deref_mut() else {
+        let now = self.now;
+        let Some(t) = self.traffic.as_mut() else {
             return;
         };
         if t.engine.exhausted() {
@@ -235,12 +122,11 @@ impl<E: Effects, F: FlowStore, S: NodeStates> Cascade<'_, E, F, S> {
         }
         let draw = t.engine.draw(class);
         let response = t.engine.response_packets(class);
-        let next =
-            (!t.engine.exhausted()).then(|| t.engine.next_gap(class, self.now.as_secs_f64()));
+        let next = (!t.engine.exhausted()).then(|| t.engine.next_gap(class, now.as_secs_f64()));
         t.fct.class_mut(class).record_arrival();
         if let Some(gap) = next {
-            self.eff
-                .schedule(self.now + gap, Event::TrafficArrival { class });
+            self.queue
+                .schedule(now + gap, Event::TrafficArrival { class });
         }
         self.spawn_traffic_flow(
             class as u32,
@@ -248,7 +134,7 @@ impl<E: Effects, F: FlowStore, S: NodeStates> Cascade<'_, E, F, S> {
             NodeId(draw.dst),
             draw.packets,
             response,
-            self.now,
+            now,
             0,
         );
     }
@@ -267,15 +153,18 @@ impl<E: Effects, F: FlowStore, S: NodeStates> Cascade<'_, E, F, S> {
         response: Option<u64>,
         started: SimTime,
         carried: u64,
-    ) -> FlowId {
+    ) {
         let (slot, generation) = self.flows.spawn_slot();
-        self.eff.ensure_transport_timer_capacity(slot as usize + 1);
+        if self.transport_timers.len() <= slot as usize {
+            self.transport_timers
+                .resize(slot as usize + 1, [[None; TransportTimer::COUNT]; 2]);
+        }
         let flow_id = FlowId::from_parts(slot, generation);
 
         let now = self.now;
         let t = self
             .traffic
-            .as_deref_mut()
+            .as_mut()
             .expect("traffic flows need a traffic state");
         let k = t.spawn_counter;
         assert!(
@@ -316,172 +205,134 @@ impl<E: Effects, F: FlowStore, S: NodeStates> Cascade<'_, E, F, S> {
         };
         let mut sender = TcpSender::new(config, flavor, flow_id, src, dst, uid_base);
         sender.set_budget(packets);
+        let mut actions = self.pools.transport.pop().unwrap_or_default();
+        sender.start(now, &mut actions);
         let sink = TcpSink::new(ack_policy, flow_id, dst, src, uid_base | (1 << 39));
         self.flows.fill_slot(
             slot,
-            FlowMeta {
+            Flow {
                 src,
                 dst,
+                source: SourceAgent::Tcp(sender),
+                sink: SinkAgent::Tcp(sink),
+                delivered: 0,
+                last_delivery: None,
+                cwnd_twa: TimeWeightedAverage::new(now, 1.0),
                 class,
                 started,
                 carried,
                 response,
             },
-            FlowSrc {
-                source: SourceAgent::Tcp(sender),
-                cwnd_twa: TimeWeightedAverage::new(now, 1.0),
-            },
-            FlowDst {
-                sink: SinkAgent::Tcp(sink),
-                delivered: 0,
-                last_delivery: None,
-            },
         );
-        self.eff.trace(now, src, || TraceEvent::FlowOpen {
+        self.trace_event(src, || TraceEvent::FlowOpen {
             flow: flow_id,
             src,
             dst,
             packets,
         });
-        self.flight_note(src, FlightKind::FlowOpen, u64::from(flow_id.raw()));
-
-        let mut actions = self.pools.transport.pop().unwrap_or_default();
-        let fs = self.flows.src_mut(flow_id).expect("slot was just filled");
-        let SourceAgent::Tcp(s) = &mut fs.source else {
-            unreachable!("traffic flows are TCP");
-        };
-        s.start(now, &mut actions);
+        self.flight_note(
+            src,
+            FlightKind::FlowOpen,
+            u64::from(flow_id.raw()),
+            NO_REASON,
+        );
         self.note_window(flow_id);
         self.apply_transport_actions(flow_id, Role::Source, src, actions);
-        flow_id
     }
 
     /// Retires a completed traffic leg: cancels its remaining timers,
     /// vacates and generation-bumps the slot, then either spawns the
     /// response leg or journals the finished transaction.
-    fn complete_traffic_flow(&mut self, flow: FlowId) {
-        self.eff.cancel_all_transport_timers(flow);
-        let (meta, src_half, _dst_half) = self.flows.vacate(flow);
+    fn complete_traffic_flow(&mut self, id: FlowId) {
+        for role in &mut self.transport_timers[id.slot() as usize] {
+            for slot in role {
+                cancel_timer(&mut self.queue, slot);
+            }
+        }
+        let flow = self.flows.vacate(id);
 
-        let budget = match &src_half.source {
+        let budget = match &flow.source {
             SourceAgent::Tcp(s) => s.budget().expect("traffic sender has a budget"),
             SourceAgent::Udp(_) => unreachable!("traffic flows are TCP"),
         };
-        let total = meta.carried + budget;
+        let total = flow.carried + budget;
         let now = self.now;
-        let t = self
-            .traffic
-            .as_deref_mut()
-            .expect("traffic flow without state");
+        let t = self.traffic.as_mut().expect("traffic flow without state");
         t.live -= 1;
-        if let Some(resp) = meta.response {
+        if let Some(resp) = flow.response {
             // Response leg runs the other way; the transaction's clock
             // and packet tally keep running.
             self.spawn_traffic_flow(
-                meta.class,
-                meta.dst,
-                meta.src,
+                flow.class,
+                flow.dst,
+                flow.src,
                 resp,
                 None,
-                meta.started,
+                flow.started,
                 total,
             );
             return;
         }
-        let fct = now.saturating_duration_since(meta.started);
+        let fct = now.saturating_duration_since(flow.started);
         fnv_mix(&mut t.journal_hash, JOURNAL_COMPLETION);
-        fnv_mix(&mut t.journal_hash, u64::from(flow.raw()));
-        fnv_mix(&mut t.journal_hash, u64::from(meta.class));
+        fnv_mix(&mut t.journal_hash, u64::from(id.raw()));
+        fnv_mix(&mut t.journal_hash, u64::from(flow.class));
         fnv_mix(&mut t.journal_hash, total);
         fnv_mix(&mut t.journal_hash, now.as_nanos());
         t.journal_count += 1;
         t.fct
-            .class_mut(meta.class as usize)
+            .class_mut(flow.class as usize)
             .record_completion(fct, total);
-        self.eff.trace(now, meta.src, || TraceEvent::FlowClose {
-            flow,
+        self.trace_event(flow.src, || TraceEvent::FlowClose {
+            flow: id,
             packets: total,
             fct_nanos: fct.as_nanos(),
         });
-        self.flight_note(meta.src, FlightKind::FlowClose, u64::from(flow.raw()));
+        self.flight_note(
+            flow.src,
+            FlightKind::FlowClose,
+            u64::from(id.raw()),
+            NO_REASON,
+        );
     }
 
-    fn flow_start(&mut self, flow: FlowId) {
+    fn flow_start(&mut self, id: FlowId) {
+        let now = self.now;
+        let Some(flow) = self.flows.get_mut(id) else {
+            return;
+        };
         let mut actions = self.pools.transport.pop().unwrap_or_default();
-        let Some(meta) = self.flows.meta(flow) else {
-            self.pools.transport.push(actions);
-            return;
-        };
-        let node = meta.src;
-        let Some(fs) = self.flows.src_mut(flow) else {
-            self.pools.transport.push(actions);
-            return;
-        };
-        match &mut fs.source {
-            SourceAgent::Tcp(s) => s.start(self.now, &mut actions),
-            SourceAgent::Udp(s) => s.start(self.now, &mut actions),
+        match &mut flow.source {
+            SourceAgent::Tcp(s) => s.start(now, &mut actions),
+            SourceAgent::Udp(s) => s.start(now, &mut actions),
         }
-        self.note_window(flow);
-        self.apply_transport_actions(flow, Role::Source, node, actions);
+        let node = flow.src;
+        self.note_window(id);
+        self.apply_transport_actions(id, Role::Source, node, actions);
     }
 
-    fn dispatch_transport_timer(&mut self, flow: FlowId, role: Role, timer: TransportTimer) {
-        let mut actions = self.pools.transport.pop().unwrap_or_default();
-        let Some(meta) = self.flows.meta(flow) else {
-            self.pools.transport.push(actions);
+    fn dispatch_transport_timer(&mut self, id: FlowId, role: Role, timer: TransportTimer) {
+        let now = self.now;
+        let Some(flow) = self.flows.get_mut(id) else {
             return;
         };
-        let (src, dst) = (meta.src, meta.dst);
-        let mut note = false;
-        let node = match (role, timer) {
-            (Role::Source, TransportTimer::Rtx) => {
-                let Some(FlowSrc {
-                    source: SourceAgent::Tcp(s),
-                    ..
-                }) = self.flows.src_mut(flow)
-                else {
-                    self.pools.transport.push(actions);
-                    return;
-                };
-                s.on_rtx_timeout(self.now, &mut actions);
-                note = true;
-                src
+        let mut actions = self.pools.transport.pop().unwrap_or_default();
+        let (node, note) = match (role, timer, &mut flow.source, &mut flow.sink) {
+            (Role::Source, TransportTimer::Rtx, SourceAgent::Tcp(s), _) => {
+                s.on_rtx_timeout(now, &mut actions);
+                (flow.src, true)
             }
-            (Role::Source, TransportTimer::Probe) => {
-                let Some(FlowSrc {
-                    source: SourceAgent::Tcp(s),
-                    ..
-                }) = self.flows.src_mut(flow)
-                else {
-                    self.pools.transport.push(actions);
-                    return;
-                };
-                s.on_probe_timer(self.now, &mut actions);
-                src
+            (Role::Source, TransportTimer::Probe, SourceAgent::Tcp(s), _) => {
+                s.on_probe_timer(now, &mut actions);
+                (flow.src, false)
             }
-            (Role::Source, TransportTimer::Pace) => {
-                let Some(FlowSrc {
-                    source: SourceAgent::Udp(s),
-                    ..
-                }) = self.flows.src_mut(flow)
-                else {
-                    self.pools.transport.push(actions);
-                    return;
-                };
-                s.on_pace_timer(self.now, &mut actions);
-                src
+            (Role::Source, TransportTimer::Pace, SourceAgent::Udp(s), _) => {
+                s.on_pace_timer(now, &mut actions);
+                (flow.src, false)
             }
-            (Role::Sink, TransportTimer::DelayedAck) => {
-                let Some(FlowDst {
-                    sink: SinkAgent::Tcp(s),
-                    ..
-                }) = self.flows.dst_mut(flow)
-                else {
-                    self.pools.transport.push(actions);
-                    return;
-                };
-                s.on_delayed_ack_timer(self.now, &mut actions);
-                dst
+            (Role::Sink, TransportTimer::DelayedAck, _, SinkAgent::Tcp(s)) => {
+                s.on_delayed_ack_timer(now, &mut actions);
+                (flow.dst, false)
             }
             _ => {
                 self.pools.transport.push(actions);
@@ -489,49 +340,30 @@ impl<E: Effects, F: FlowStore, S: NodeStates> Cascade<'_, E, F, S> {
             }
         };
         if note {
-            self.note_window(flow);
+            self.note_window(id);
         }
-        self.apply_transport_actions(flow, role, node, actions);
+        self.apply_transport_actions(id, role, node, actions);
     }
 
     // ---- PHY plumbing ----------------------------------------------------
 
     fn process_radio_events(&mut self, node: NodeId, mut events: Vec<RadioEvent>) {
+        let now = self.now;
         for ev in events.drain(..) {
             let mut actions = self.pools.mac.pop().unwrap_or_default();
+            let i = node.index();
             match ev {
-                RadioEvent::CarrierBusy => {
-                    self.states
-                        .mac(node)
-                        .on_carrier_busy(self.now, &mut actions);
-                }
-                RadioEvent::CarrierIdle => {
-                    self.states
-                        .mac(node)
-                        .on_carrier_idle(self.now, &mut actions);
-                }
+                RadioEvent::CarrierBusy => self.macs[i].on_carrier_busy(now, &mut actions),
+                RadioEvent::CarrierIdle => self.macs[i].on_carrier_idle(now, &mut actions),
                 RadioEvent::RxStart(_) => {}
-                RadioEvent::UndecodedEnd => {
-                    self.eff.trace(self.now, node, || TraceEvent::PhyCorrupt);
-                    self.states.mac(node).on_rx_corrupt(self.now);
+                RadioEvent::RxEnd { tx, ok: true } => {
+                    self.trace_event(node, || TraceEvent::PhyRxOk);
+                    let frame = self.frames.get(tx).expect("RxEnd for unknown transmission");
+                    self.macs[i].on_rx_frame(now, frame, &mut actions);
                 }
-                RadioEvent::RxEnd { tx, ok } => {
-                    if ok {
-                        assert!(
-                            self.eff.frame(tx).is_some(),
-                            "RxEnd for unknown transmission"
-                        );
-                        self.eff.trace(self.now, node, || TraceEvent::PhyRxOk);
-                        let now = self.now;
-                        self.states.mac(node).on_rx_frame(
-                            now,
-                            self.eff.frame(tx).expect("checked above"),
-                            &mut actions,
-                        );
-                    } else {
-                        self.eff.trace(self.now, node, || TraceEvent::PhyCorrupt);
-                        self.states.mac(node).on_rx_corrupt(self.now);
-                    }
+                RadioEvent::UndecodedEnd | RadioEvent::RxEnd { ok: false, .. } => {
+                    self.trace_event(node, || TraceEvent::PhyCorrupt);
+                    self.macs[i].on_rx_corrupt(now);
                 }
             }
             self.apply_mac_actions(node, actions);
@@ -539,630 +371,14 @@ impl<E: Effects, F: FlowStore, S: NodeStates> Cascade<'_, E, F, S> {
         self.pools.radio.push(events);
     }
 
-    // ---- action application ----------------------------------------------
-
-    fn apply_mac_actions(&mut self, node: NodeId, mut actions: Vec<MacAction>) {
-        for action in actions.drain(..) {
-            match action {
-                MacAction::StartTx(frame) => {
-                    let mut evs = self.pools.radio.pop().unwrap_or_default();
-                    self.eff
-                        .start_tx(self.now, node, frame, self.states.tr(node), &mut evs);
-                    self.process_radio_events(node, evs);
-                }
-                MacAction::SetTimer { timer, delay } => {
-                    if timer == MacTimer::Defer {
-                        self.eff.trace(self.now, node, || TraceEvent::MacDefer {
-                            nanos: delay.as_nanos(),
-                        });
-                    }
-                    self.eff.set_mac_timer(self.now + delay, node, timer);
-                }
-                MacAction::CancelTimer(timer) => {
-                    self.eff.cancel_mac_timer(node, timer);
-                }
-                MacAction::Deliver { from, packet } => {
-                    self.eff.trace(self.now, node, || TraceEvent::MacRx {
-                        uid: packet.uid,
-                        from,
-                    });
-                    // Custody: this node now holds a fresh copy.
-                    if let Some(flow) = transport_flow(&packet) {
-                        self.eff.audit_deliver_up(node.index(), flow);
-                    }
-                    let mut aodv = self.pools.aodv.pop().unwrap_or_default();
-                    self.states
-                        .router(node)
-                        .on_received(self.now, from, packet, &mut aodv);
-                    self.apply_aodv_actions(node, aodv);
-                }
-                MacAction::TxConfirm {
-                    next_hop,
-                    packet,
-                    success,
-                } => {
-                    if success {
-                        // Custody: the next hop's deliver-up created its
-                        // own copy; this node's copy is done.
-                        if let Some(flow) = transport_flow(&packet) {
-                            self.eff.audit_handoff(node.index(), flow);
-                        }
-                    } else {
-                        self.eff
-                            .trace(self.now, node, || TraceEvent::MacRetryExhausted {
-                                uid: packet.uid,
-                                next_hop,
-                            });
-                        // Frame-level loss: the router still holds the
-                        // packet and decides its terminal fate (always a
-                        // `RouteError` drop), so no custody event here.
-                        if transport_flow(&packet).is_some() {
-                            let class = self.packet_class(&packet);
-                            self.eff.ledger_drop(
-                                node.index(),
-                                class,
-                                DropReason::MacRetryExhausted,
-                            );
-                        }
-                        self.flight_note(node, FlightKind::TxFail, packet.uid);
-                    }
-                    let mut aodv = self.pools.aodv.pop().unwrap_or_default();
-                    self.states
-                        .router(node)
-                        .on_tx_confirm(self.now, next_hop, packet, success, &mut aodv);
-                    self.apply_aodv_actions(node, aodv);
-                }
-                MacAction::Dropped { ref packet, reason } => {
-                    let uid = packet.uid;
-                    self.eff
-                        .trace(self.now, node, || TraceEvent::MacQueueDrop { uid });
-                    let reason = match reason {
-                        MacDropReason::QueueFull => DropReason::IfqOverflow,
-                        MacDropReason::EarlyDrop => DropReason::MacEarlyDrop,
-                    };
-                    self.record_drop(node, packet, reason);
-                }
-            }
-        }
-        let depth = self.states.mac(node).queue_len();
-        self.eff
-            .probe(self.now, ProbeKind::IfqDepth, node.raw(), depth as f64);
-        self.pools.mac.push(actions);
-    }
-
-    fn apply_aodv_actions(&mut self, node: NodeId, mut actions: Vec<AodvAction>) {
-        for action in actions.drain(..) {
-            match action {
-                AodvAction::Send {
-                    packet,
-                    next_hop,
-                    delay,
-                } => {
-                    if delay.is_zero() {
-                        let mut mac = self.pools.mac.pop().unwrap_or_default();
-                        self.states
-                            .mac(node)
-                            .enqueue(self.now, next_hop, packet, &mut mac);
-                        self.apply_mac_actions(node, mac);
-                    } else {
-                        self.eff.schedule(
-                            self.now + delay,
-                            Event::AodvSend {
-                                node,
-                                next_hop,
-                                packet,
-                            },
-                        );
-                    }
-                }
-                AodvAction::Deliver(packet) => {
-                    self.eff.trace(self.now, node, || TraceEvent::RouteDeliver {
-                        uid: packet.uid,
-                    });
-                    self.deliver_to_transport(node, packet)
-                }
-                AodvAction::SetDiscoveryTimer { dst, delay } => {
-                    self.eff.set_discovery_timer(self.now + delay, node, dst);
-                }
-                AodvAction::CancelDiscoveryTimer { dst } => {
-                    self.eff.cancel_discovery_timer(node, dst);
-                }
-                AodvAction::NotifyRouteFailure { dst } => {
-                    self.eff
-                        .trace(self.now, node, || TraceEvent::RouteFailure { dst });
-                    self.flight_note(node, FlightKind::RouteFail, u64::from(dst.raw()));
-                    self.notify_route_failure(node, dst);
-                }
-                AodvAction::RouteInstalled {
-                    dst,
-                    next_hop,
-                    hop_count,
-                    dst_seq,
-                } => {
-                    self.eff.trace(self.now, node, || TraceEvent::RouteUpdate {
-                        dst,
-                        next_hop,
-                        hop_count,
-                        dst_seq,
-                    });
-                }
-                AodvAction::RouteLost { dst, dst_seq } => {
-                    self.eff
-                        .trace(self.now, node, || TraceEvent::RouteInvalidate {
-                            dst,
-                            dst_seq,
-                        });
-                }
-                AodvAction::Drop { ref packet, reason } => {
-                    let uid = packet.uid;
-                    self.eff
-                        .trace(self.now, node, || TraceEvent::RouteDrop { uid, reason });
-                    let reason = match reason {
-                        AodvDropReason::NoRoute => DropReason::NoRoute,
-                        AodvDropReason::LinkFailure => DropReason::RouteError,
-                        AodvDropReason::TtlExpired => DropReason::TtlExpired,
-                        AodvDropReason::BufferFull => DropReason::RouteBufferFull,
-                    };
-                    self.record_drop(node, packet, reason);
-                }
-            }
-        }
-        self.pools.aodv.push(actions);
-    }
-
-    fn deliver_to_transport(&mut self, node: NodeId, packet: Packet) {
-        match &packet.body {
-            Body::Tcp(seg) => {
-                let flow_id = seg.flow;
-                let flow_raw = flow_id.raw();
-                let (seq, ack, is_data) = (seg.seq, seg.ack, seg.is_data());
-                let mut actions = self.pools.transport.pop().unwrap_or_default();
-                let Some(meta) = self.flows.meta(flow_id) else {
-                    // Stale generation: a straggler from a finished flow.
-                    self.pools.transport.push(actions);
-                    self.record_drop(node, &packet, DropReason::FlowTeardown);
-                    return;
-                };
-                let (src, dst, class) = (meta.src, meta.dst, meta.class);
-                if is_data && node == dst {
-                    let Some(fd) = self.flows.dst_mut(flow_id) else {
-                        self.pools.transport.push(actions);
-                        return;
-                    };
-                    let SinkAgent::Tcp(sink) = &mut fd.sink else {
-                        self.pools.transport.push(actions);
-                        return;
-                    };
-                    let before = sink.stats().delivered;
-                    sink.on_data(self.now, seq, &mut actions);
-                    let after = sink.stats().delivered;
-                    if after > before {
-                        fd.last_delivery = Some(self.now);
-                    }
-                    fd.delivered += after - before;
-                    self.eff.add_delivered(after - before);
-                    // Custody: the endpoint consumed this copy (duplicate
-                    // or not).
-                    self.eff.audit_consume(node.index(), flow_raw);
-                    self.apply_transport_actions(flow_id, Role::Sink, dst, actions);
-                } else if !is_data && node == src {
-                    let Some(fs) = self.flows.src_mut(flow_id) else {
-                        self.pools.transport.push(actions);
-                        return;
-                    };
-                    let SourceAgent::Tcp(sender) = &mut fs.source else {
-                        self.pools.transport.push(actions);
-                        return;
-                    };
-                    sender.on_ack(self.now, ack, &mut actions);
-                    self.eff.audit_consume(node.index(), flow_raw);
-                    self.note_window(flow_id);
-                    self.apply_transport_actions(flow_id, Role::Source, src, actions);
-                    // The ACK may have been the flow's last: an app-limited
-                    // sender with its whole budget acknowledged retires.
-                    let done = class != PERSISTENT
-                        && self.flows.src_mut(flow_id).is_some_and(
-                            |fs| matches!(&fs.source, SourceAgent::Tcp(s) if s.is_complete()),
-                        );
-                    if done {
-                        self.complete_traffic_flow(flow_id);
-                    }
-                } else {
-                    self.pools.transport.push(actions);
-                    // Wrong node or wrong direction: nothing consumes it.
-                    self.record_drop(node, &packet, DropReason::SinkDiscard);
-                }
-            }
-            Body::Udp(d) => {
-                let flow_id = d.flow;
-                let flow_raw = flow_id.raw();
-                let Some(meta) = self.flows.meta(flow_id) else {
-                    self.record_drop(node, &packet, DropReason::FlowTeardown);
-                    return;
-                };
-                if node == meta.dst {
-                    let Some(fd) = self.flows.dst_mut(flow_id) else {
-                        return;
-                    };
-                    let SinkAgent::Udp(sink) = &mut fd.sink else {
-                        return;
-                    };
-                    sink.on_data(d.seq);
-                    fd.delivered += 1;
-                    fd.last_delivery = Some(self.now);
-                    self.eff.add_delivered(1);
-                    self.eff.audit_consume(node.index(), flow_raw);
-                } else {
-                    self.record_drop(node, &packet, DropReason::SinkDiscard);
-                }
-            }
-            Body::Aodv(_) => {
-                // Routing messages never reach the transport layer.
-            }
-        }
-    }
-
-    /// ELFN: tells every local TCP sender whose flow targets `dst` that
-    /// its route just failed. Strictly node-local: only flows sourced at
-    /// `node` are touched.
-    fn notify_route_failure(&mut self, node: NodeId, dst: NodeId) {
-        let mut ids = std::mem::take(&mut self.pools.flow_scratch);
-        ids.clear();
-        self.flows.collect_tcp_src_flows(node, &mut ids);
-        for flow_id in ids.drain(..) {
-            let Some(meta) = self.flows.meta(flow_id) else {
-                continue;
-            };
-            if meta.dst != dst {
-                continue;
-            }
-            let mut actions = self.pools.transport.pop().unwrap_or_default();
-            let Some(FlowSrc {
-                source: SourceAgent::Tcp(sender),
-                ..
-            }) = self.flows.src_mut(flow_id)
-            else {
-                unreachable!("collected flows are TCP and sourced here");
-            };
-            sender.on_route_failure(self.now, &mut actions);
-            self.apply_transport_actions(flow_id, Role::Source, node, actions);
-        }
-        self.pools.flow_scratch = ids;
-    }
-
-    fn note_window(&mut self, flow: FlowId) {
-        let Some(meta) = self.flows.meta(flow) else {
-            return;
-        };
-        let node = meta.src;
-        let Some(fs) = self.flows.src_mut(flow) else {
-            return;
-        };
-        let SourceAgent::Tcp(s) = &fs.source else {
-            return;
-        };
-        let cwnd = s.cwnd();
-        let srtt = s.srtt();
-        let diff = s.vegas_diff();
-        fs.cwnd_twa.record(self.now, cwnd);
-        // Fixed-point milli-packets keep the trace event `Eq`/hashable.
-        self.eff.trace(self.now, node, || TraceEvent::TcpCwnd {
-            flow,
-            cwnd_milli: (cwnd * 1000.0).round() as u64,
-        });
-        if let Some(diff) = diff {
-            self.eff.trace(self.now, node, || TraceEvent::TcpVegasDiff {
-                flow,
-                diff_milli: (diff * 1000.0).round() as i64,
-            });
-        }
-        self.eff.probe(self.now, ProbeKind::Cwnd, flow.raw(), cwnd);
-        if let Some(srtt) = srtt {
-            self.eff
-                .probe(self.now, ProbeKind::Srtt, flow.raw(), srtt.as_secs_f64());
-        }
-        if let Some(diff) = diff {
-            self.eff
-                .probe(self.now, ProbeKind::VegasDiff, flow.raw(), diff);
-        }
-    }
-
-    fn apply_transport_actions(
-        &mut self,
-        flow: FlowId,
-        role: Role,
-        node: NodeId,
-        mut actions: Vec<TransportAction>,
-    ) {
-        for action in actions.drain(..) {
-            match action {
-                TransportAction::SendPacket(packet) => {
-                    self.eff.trace(self.now, node, || match &packet.body {
-                        Body::Tcp(seg) if seg.is_data() => {
-                            TraceEvent::TcpData { flow, seq: seg.seq }
-                        }
-                        Body::Tcp(seg) => TraceEvent::TcpAck { flow, ack: seg.ack },
-                        Body::Udp(d) => TraceEvent::UdpData { flow, seq: d.seq },
-                        Body::Aodv(_) => unreachable!("transport never sends AODV"),
-                    });
-                    // Custody: a fresh copy enters the network here.
-                    if let Some(flow_raw) = transport_flow(&packet) {
-                        self.eff.audit_originate(node.index(), flow_raw);
-                    }
-                    let mut aodv = self.pools.aodv.pop().unwrap_or_default();
-                    self.states.router(node).send(self.now, packet, &mut aodv);
-                    self.apply_aodv_actions(node, aodv);
-                }
-                TransportAction::SetTimer { timer, delay } => {
-                    self.eff
-                        .set_transport_timer(self.now + delay, flow, role, timer);
-                }
-                TransportAction::CancelTimer(timer) => {
-                    self.eff.cancel_transport_timer(flow, role, timer);
-                }
-            }
-        }
-        self.pools.transport.push(actions);
-    }
-
-    /// The ledger class a packet's losses are attributed to: its flow's
-    /// traffic class, the `persistent` class for scenario-listed flows,
-    /// or the trailing `unattributed` class when no live flow matches.
-    fn packet_class(&self, packet: &Packet) -> usize {
-        let unattributed = self.unattributed;
-        let flow_id = match &packet.body {
-            Body::Tcp(seg) => seg.flow,
-            Body::Udp(d) => d.flow,
-            Body::Aodv(_) => return unattributed,
-        };
-        match self.flows.meta(flow_id) {
-            Some(m) if m.class == PERSISTENT => unattributed - 1,
-            Some(m) => m.class as usize,
-            None => unattributed,
-        }
-    }
-
-    /// Records a drop in the flight recorder and — for transport-bodied
-    /// packets — in the ledger (the ledger is a *data-plane* account;
-    /// dropped AODV control messages would muddy the per-cause tables)
-    /// and, when the reason ends custody, in the audit.
-    fn record_drop(&mut self, node: NodeId, packet: &Packet, reason: DropReason) {
-        if let Some(flow) = transport_flow(packet) {
-            let class = self.packet_class(packet);
-            self.eff.ledger_drop(node.index(), class, reason);
-            if reason.is_terminal() {
-                self.eff.audit_terminal_drop(node.index(), flow);
-            }
-        }
-        self.eff.flight(FlightRecord {
-            t_nanos: self.now.as_nanos(),
-            id: packet.uid,
-            node: node.raw(),
-            kind: FlightKind::Drop,
-            reason: reason.index() as u8,
-        });
-    }
-
-    /// Appends a non-drop record to the flight recorder.
-    fn flight_note(&mut self, node: NodeId, kind: FlightKind, id: u64) {
-        self.eff.flight(FlightRecord {
-            t_nanos: self.now.as_nanos(),
-            id,
-            node: node.raw(),
-            kind,
-            reason: NO_REASON,
-        });
-    }
-}
-
-// ---- sequential implementations -------------------------------------------
-
-/// Plain slices: the whole network's node state, owned by one thread.
-pub(super) struct SeqStates<'a> {
-    pub transceivers: &'a mut [Transceiver],
-    pub macs: &'a mut [Dcf],
-    pub routers: &'a mut [Router],
-}
-
-impl NodeStates for SeqStates<'_> {
-    fn tr(&mut self, node: NodeId) -> &mut Transceiver {
-        &mut self.transceivers[node.index()]
-    }
-
-    fn mac(&mut self, node: NodeId) -> &mut Dcf {
-        &mut self.macs[node.index()]
-    }
-
-    fn router(&mut self, node: NodeId) -> &mut Router {
-        &mut self.routers[node.index()]
-    }
-}
-
-/// The oracle path: every effect applied immediately to the network's
-/// own structures, in exactly the order the pre-sharding engine did.
-pub(super) struct SeqEffects<'a> {
-    pub queue: &'a mut EventQueue<Event>,
-    pub mac_timers: &'a mut Vec<[Option<EventId>; MacTimer::COUNT]>,
-    pub discovery_timers: &'a mut Vec<mwn_aodv::NodeMap<EventId>>,
-    pub transport_timers: &'a mut Vec<[[Option<EventId>; TransportTimer::COUNT]; 2]>,
-    pub trace: &'a mut Option<TraceBuffer>,
-    pub probes: &'a mut Option<ProbeBuffer>,
-    pub ledger: &'a mut DropLedger,
-    pub audit: &'a mut Option<ConservationAudit>,
-    pub flight: &'a Arc<Mutex<FlightRecorder>>,
-    pub total_delivered: &'a mut u64,
-    pub frames: &'a mut FrameSlab,
-    pub medium: &'a mut Medium,
-    pub energy: &'a mut [EnergyMeter],
-    pub params: &'a MacParams,
-}
-
-impl Effects for SeqEffects<'_> {
-    fn schedule(&mut self, time: SimTime, event: Event) {
-        self.queue.schedule(time, event);
-    }
-
-    fn set_mac_timer(&mut self, time: SimTime, node: NodeId, timer: MacTimer) {
-        let slot = &mut self.mac_timers[node.index()][timer.index()];
-        if let Some(old) = slot.take() {
-            self.queue.cancel(old);
-        }
-        *slot = Some(self.queue.schedule(time, Event::Mac { node, timer }));
-    }
-
-    fn cancel_mac_timer(&mut self, node: NodeId, timer: MacTimer) {
-        if let Some(old) = self.mac_timers[node.index()][timer.index()].take() {
-            self.queue.cancel(old);
-        }
-    }
-
-    fn clear_mac_timer(&mut self, node: NodeId, timer: MacTimer) {
-        self.mac_timers[node.index()][timer.index()] = None;
-    }
-
-    fn set_transport_timer(
-        &mut self,
-        time: SimTime,
-        flow: FlowId,
-        role: Role,
-        timer: TransportTimer,
-    ) {
-        let slot = &mut self.transport_timers[flow.slot() as usize][role.index()][timer.index()];
-        if let Some(old) = slot.take() {
-            self.queue.cancel(old);
-        }
-        *slot = Some(
-            self.queue
-                .schedule(time, Event::Transport { flow, role, timer }),
-        );
-    }
-
-    fn cancel_transport_timer(&mut self, flow: FlowId, role: Role, timer: TransportTimer) {
-        if let Some(old) =
-            self.transport_timers[flow.slot() as usize][role.index()][timer.index()].take()
-        {
-            self.queue.cancel(old);
-        }
-    }
-
-    fn clear_transport_timer(&mut self, flow: FlowId, role: Role, timer: TransportTimer) {
-        self.transport_timers[flow.slot() as usize][role.index()][timer.index()] = None;
-    }
-
-    fn cancel_all_transport_timers(&mut self, flow: FlowId) {
-        for role in &mut self.transport_timers[flow.slot() as usize] {
-            for timer in role {
-                if let Some(old) = timer.take() {
-                    self.queue.cancel(old);
-                }
-            }
-        }
-    }
-
-    fn ensure_transport_timer_capacity(&mut self, len: usize) {
-        while self.transport_timers.len() < len {
-            self.transport_timers
-                .push([[None; TransportTimer::COUNT]; 2]);
-        }
-    }
-
-    fn set_discovery_timer(&mut self, time: SimTime, node: NodeId, dst: NodeId) {
-        if let Some(old) = self.discovery_timers[node.index()].remove(dst) {
-            self.queue.cancel(old);
-        }
-        let id = self
-            .queue
-            .schedule(time, Event::AodvDiscovery { node, dst });
-        self.discovery_timers[node.index()].insert(dst, id);
-    }
-
-    fn cancel_discovery_timer(&mut self, node: NodeId, dst: NodeId) {
-        if let Some(old) = self.discovery_timers[node.index()].remove(dst) {
-            self.queue.cancel(old);
-        }
-    }
-
-    fn clear_discovery_timer(&mut self, node: NodeId, dst: NodeId) {
-        self.discovery_timers[node.index()].remove(dst);
-    }
-
-    fn trace(&mut self, now: SimTime, node: NodeId, event: impl FnOnce() -> TraceEvent) {
-        if let Some(buf) = self.trace.as_mut() {
-            buf.push(TraceRecord {
-                time: now,
-                node,
-                event: event(),
-            });
-        }
-    }
-
-    fn probe(&mut self, now: SimTime, kind: ProbeKind, id: u32, value: f64) {
-        if let Some(p) = self.probes.as_mut() {
-            p.record(now, kind, id, value);
-        }
-    }
-
-    fn flight(&mut self, record: FlightRecord) {
-        self.flight.lock().unwrap().record(record);
-    }
-
-    fn ledger_drop(&mut self, node: usize, class: usize, reason: DropReason) {
-        self.ledger.record(node, class, reason);
-    }
-
-    fn audit_deliver_up(&mut self, node: usize, flow: u32) {
-        if let Some(a) = self.audit.as_mut() {
-            a.deliver_up(node, flow);
-        }
-    }
-
-    fn audit_handoff(&mut self, node: usize, flow: u32) {
-        if let Some(a) = self.audit.as_mut() {
-            a.handoff(node, flow);
-        }
-    }
-
-    fn audit_consume(&mut self, node: usize, flow: u32) {
-        if let Some(a) = self.audit.as_mut() {
-            a.consume(node, flow);
-        }
-    }
-
-    fn audit_originate(&mut self, node: usize, flow: u32) {
-        if let Some(a) = self.audit.as_mut() {
-            a.originate(node, flow);
-        }
-    }
-
-    fn audit_terminal_drop(&mut self, node: usize, flow: u32) {
-        if let Some(a) = self.audit.as_mut() {
-            a.terminal_drop(node, flow);
-        }
-    }
-
-    fn add_delivered(&mut self, n: u64) {
-        *self.total_delivered += n;
-    }
-
-    fn frame(&self, tx: TxId) -> Option<&MacFrame> {
-        self.frames.get(tx)
-    }
-
-    fn release_frame(&mut self, tx: TxId) {
-        self.frames.release(tx);
-    }
-
-    fn start_tx(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        frame: MacFrame,
-        tr: &mut Transceiver,
-        evs: &mut Vec<RadioEvent>,
-    ) {
+    /// Puts `frame` on the air from `node`: schedules the signal edges at
+    /// every receiver, meters energy, and starts the local transceiver
+    /// (whose radio events land in `evs` for the caller to process).
+    fn start_tx(&mut self, node: NodeId, frame: MacFrame, evs: &mut Vec<RadioEvent>) {
+        let now = self.now;
         let duration = self.params.airtime(&frame);
         let (kind, dst, bytes, nav) = (frame.kind(), frame.dst(), frame.size_bytes(), frame.nav());
-        self.trace(now, node, || TraceEvent::MacTx {
+        self.trace_event(node, || TraceEvent::MacTx {
             kind,
             dst,
             bytes,
@@ -1197,6 +413,421 @@ impl Effects for SeqEffects<'_> {
             }
         }
         self.queue.schedule(now + duration, Event::TxEnd { node });
-        tr.tx_start(evs);
+        self.transceivers[node.index()].tx_start(evs);
+    }
+
+    // ---- action application ----------------------------------------------
+
+    fn apply_mac_actions(&mut self, node: NodeId, mut actions: Vec<MacAction>) {
+        let now = self.now;
+        for action in actions.drain(..) {
+            match action {
+                MacAction::StartTx(frame) => {
+                    let mut evs = self.pools.radio.pop().unwrap_or_default();
+                    self.start_tx(node, frame, &mut evs);
+                    self.process_radio_events(node, evs);
+                }
+                MacAction::SetTimer { timer, delay } => {
+                    if timer == MacTimer::Defer {
+                        self.trace_event(node, || TraceEvent::MacDefer {
+                            nanos: delay.as_nanos(),
+                        });
+                    }
+                    let slot = &mut self.mac_timers[node.index()][timer.index()];
+                    cancel_timer(&mut self.queue, slot);
+                    *slot = Some(self.queue.schedule(now + delay, Event::Mac { node, timer }));
+                }
+                MacAction::CancelTimer(timer) => {
+                    let slot = &mut self.mac_timers[node.index()][timer.index()];
+                    cancel_timer(&mut self.queue, slot);
+                }
+                MacAction::Deliver { from, packet } => {
+                    self.trace_event(node, || TraceEvent::MacRx {
+                        uid: packet.uid,
+                        from,
+                    });
+                    // Custody: this node now holds a fresh copy.
+                    if let (Some(a), Some(flow)) = (&mut self.audit, transport_flow(&packet)) {
+                        a.deliver_up(node.index(), flow);
+                    }
+                    let mut aodv = self.pools.aodv.pop().unwrap_or_default();
+                    self.routers[node.index()].on_received(now, from, packet, &mut aodv);
+                    self.apply_aodv_actions(node, aodv);
+                }
+                MacAction::TxConfirm {
+                    next_hop,
+                    packet,
+                    success,
+                } => {
+                    if success {
+                        // Custody: the next hop's deliver-up created its
+                        // own copy; this node's copy is done.
+                        if let (Some(a), Some(flow)) = (&mut self.audit, transport_flow(&packet)) {
+                            a.handoff(node.index(), flow);
+                        }
+                    } else {
+                        self.trace_event(node, || TraceEvent::MacRetryExhausted {
+                            uid: packet.uid,
+                            next_hop,
+                        });
+                        // Frame-level loss: the router still holds the
+                        // packet and decides its terminal fate (always a
+                        // `RouteError` drop), so no custody event here.
+                        if transport_flow(&packet).is_some() {
+                            let class = self.packet_class(&packet);
+                            self.ledger
+                                .record(node.index(), class, DropReason::MacRetryExhausted);
+                        }
+                        self.flight_note(node, FlightKind::TxFail, packet.uid, NO_REASON);
+                    }
+                    let mut aodv = self.pools.aodv.pop().unwrap_or_default();
+                    self.routers[node.index()]
+                        .on_tx_confirm(now, next_hop, packet, success, &mut aodv);
+                    self.apply_aodv_actions(node, aodv);
+                }
+                MacAction::Dropped { ref packet, reason } => {
+                    let uid = packet.uid;
+                    self.trace_event(node, || TraceEvent::MacQueueDrop { uid });
+                    let reason = match reason {
+                        MacDropReason::QueueFull => DropReason::IfqOverflow,
+                        MacDropReason::EarlyDrop => DropReason::MacEarlyDrop,
+                    };
+                    self.record_drop(node, packet, reason);
+                }
+            }
+        }
+        let depth = self.macs[node.index()].queue_len();
+        self.probe(ProbeKind::IfqDepth, node.raw(), depth as f64);
+        self.pools.mac.push(actions);
+    }
+
+    fn apply_aodv_actions(&mut self, node: NodeId, mut actions: Vec<AodvAction>) {
+        let now = self.now;
+        for action in actions.drain(..) {
+            match action {
+                AodvAction::Send {
+                    packet,
+                    next_hop,
+                    delay,
+                } => {
+                    if delay.is_zero() {
+                        let mut mac = self.pools.mac.pop().unwrap_or_default();
+                        self.macs[node.index()].enqueue(now, next_hop, packet, &mut mac);
+                        self.apply_mac_actions(node, mac);
+                    } else {
+                        self.queue.schedule(
+                            now + delay,
+                            Event::AodvSend {
+                                node,
+                                next_hop,
+                                packet,
+                            },
+                        );
+                    }
+                }
+                AodvAction::Deliver(packet) => {
+                    self.trace_event(node, || TraceEvent::RouteDeliver { uid: packet.uid });
+                    self.deliver_to_transport(node, packet)
+                }
+                AodvAction::SetDiscoveryTimer { dst, delay } => {
+                    let timers = &mut self.discovery_timers[node.index()];
+                    if let Some(old) = timers.remove(dst) {
+                        self.queue.cancel(old);
+                    }
+                    let id = self
+                        .queue
+                        .schedule(now + delay, Event::AodvDiscovery { node, dst });
+                    timers.insert(dst, id);
+                }
+                AodvAction::CancelDiscoveryTimer { dst } => {
+                    if let Some(old) = self.discovery_timers[node.index()].remove(dst) {
+                        self.queue.cancel(old);
+                    }
+                }
+                AodvAction::NotifyRouteFailure { dst } => {
+                    self.trace_event(node, || TraceEvent::RouteFailure { dst });
+                    self.flight_note(node, FlightKind::RouteFail, u64::from(dst.raw()), NO_REASON);
+                    self.notify_route_failure(node, dst);
+                }
+                AodvAction::RouteInstalled {
+                    dst,
+                    next_hop,
+                    hop_count,
+                    dst_seq,
+                } => {
+                    self.trace_event(node, || TraceEvent::RouteUpdate {
+                        dst,
+                        next_hop,
+                        hop_count,
+                        dst_seq,
+                    });
+                }
+                AodvAction::RouteLost { dst, dst_seq } => {
+                    self.trace_event(node, || TraceEvent::RouteInvalidate { dst, dst_seq });
+                }
+                AodvAction::Drop { ref packet, reason } => {
+                    let uid = packet.uid;
+                    self.trace_event(node, || TraceEvent::RouteDrop { uid, reason });
+                    let reason = match reason {
+                        AodvDropReason::NoRoute => DropReason::NoRoute,
+                        AodvDropReason::LinkFailure => DropReason::RouteError,
+                        AodvDropReason::TtlExpired => DropReason::TtlExpired,
+                        AodvDropReason::BufferFull => DropReason::RouteBufferFull,
+                    };
+                    self.record_drop(node, packet, reason);
+                }
+            }
+        }
+        self.pools.aodv.push(actions);
+    }
+
+    fn deliver_to_transport(&mut self, node: NodeId, packet: Packet) {
+        let now = self.now;
+        match &packet.body {
+            Body::Tcp(seg) => {
+                let id = seg.flow;
+                let (seq, ack, is_data) = (seg.seq, seg.ack, seg.is_data());
+                let Some(flow) = self.flows.get_mut(id) else {
+                    // Stale generation: a straggler from a finished flow.
+                    self.record_drop(node, &packet, DropReason::FlowTeardown);
+                    return;
+                };
+                if is_data && node == flow.dst {
+                    let SinkAgent::Tcp(sink) = &mut flow.sink else {
+                        return;
+                    };
+                    let mut actions = self.pools.transport.pop().unwrap_or_default();
+                    let before = sink.stats().delivered;
+                    sink.on_data(now, seq, &mut actions);
+                    let advanced = sink.stats().delivered - before;
+                    if advanced > 0 {
+                        flow.last_delivery = Some(now);
+                    }
+                    flow.delivered += advanced;
+                    self.total_delivered += advanced;
+                    // Custody: the endpoint consumed this copy (duplicate
+                    // or not).
+                    if let Some(a) = &mut self.audit {
+                        a.consume(node.index(), id.raw());
+                    }
+                    self.apply_transport_actions(id, Role::Sink, node, actions);
+                } else if !is_data && node == flow.src {
+                    let SourceAgent::Tcp(sender) = &mut flow.source else {
+                        return;
+                    };
+                    let persistent = flow.class == PERSISTENT;
+                    let mut actions = self.pools.transport.pop().unwrap_or_default();
+                    sender.on_ack(now, ack, &mut actions);
+                    if let Some(a) = &mut self.audit {
+                        a.consume(node.index(), id.raw());
+                    }
+                    self.note_window(id);
+                    self.apply_transport_actions(id, Role::Source, node, actions);
+                    // The ACK may have been the flow's last: an app-limited
+                    // sender with its whole budget acknowledged retires.
+                    let done = !persistent
+                        && self.flows.get(id).is_some_and(
+                            |f| matches!(&f.source, SourceAgent::Tcp(s) if s.is_complete()),
+                        );
+                    if done {
+                        self.complete_traffic_flow(id);
+                    }
+                } else {
+                    // Wrong node or wrong direction: nothing consumes it.
+                    self.record_drop(node, &packet, DropReason::SinkDiscard);
+                }
+            }
+            Body::Udp(d) => {
+                let Some(flow) = self.flows.get_mut(d.flow) else {
+                    self.record_drop(node, &packet, DropReason::FlowTeardown);
+                    return;
+                };
+                if node == flow.dst {
+                    let SinkAgent::Udp(sink) = &mut flow.sink else {
+                        return;
+                    };
+                    sink.on_data(d.seq);
+                    flow.delivered += 1;
+                    flow.last_delivery = Some(now);
+                    self.total_delivered += 1;
+                    if let Some(a) = &mut self.audit {
+                        a.consume(node.index(), d.flow.raw());
+                    }
+                } else {
+                    self.record_drop(node, &packet, DropReason::SinkDiscard);
+                }
+            }
+            Body::Aodv(_) => {
+                // Routing messages never reach the transport layer.
+            }
+        }
+    }
+
+    /// ELFN: tells every local TCP sender whose flow targets `dst` that
+    /// its route just failed. Only flows sourced at `node` are touched.
+    fn notify_route_failure(&mut self, node: NodeId, dst: NodeId) {
+        let now = self.now;
+        let mut ids = std::mem::take(&mut self.pools.flow_scratch);
+        ids.clear();
+        self.flows.collect_tcp_src_flows(node, &mut ids);
+        for id in ids.drain(..) {
+            let Some(flow) = self.flows.get_mut(id) else {
+                continue;
+            };
+            if flow.dst != dst {
+                continue;
+            }
+            let SourceAgent::Tcp(sender) = &mut flow.source else {
+                unreachable!("collected flows are TCP and sourced here");
+            };
+            let mut actions = self.pools.transport.pop().unwrap_or_default();
+            sender.on_route_failure(now, &mut actions);
+            self.apply_transport_actions(id, Role::Source, node, actions);
+        }
+        self.pools.flow_scratch = ids;
+    }
+
+    fn note_window(&mut self, id: FlowId) {
+        let now = self.now;
+        let Some(flow) = self.flows.get_mut(id) else {
+            return;
+        };
+        let SourceAgent::Tcp(s) = &flow.source else {
+            return;
+        };
+        let (cwnd, srtt, diff) = (s.cwnd(), s.srtt(), s.vegas_diff());
+        flow.cwnd_twa.record(now, cwnd);
+        let node = flow.src;
+        // Fixed-point milli-packets keep the trace event `Eq`/hashable.
+        self.trace_event(node, || TraceEvent::TcpCwnd {
+            flow: id,
+            cwnd_milli: (cwnd * 1000.0).round() as u64,
+        });
+        if let Some(diff) = diff {
+            self.trace_event(node, || TraceEvent::TcpVegasDiff {
+                flow: id,
+                diff_milli: (diff * 1000.0).round() as i64,
+            });
+        }
+        self.probe(ProbeKind::Cwnd, id.raw(), cwnd);
+        if let Some(srtt) = srtt {
+            self.probe(ProbeKind::Srtt, id.raw(), srtt.as_secs_f64());
+        }
+        if let Some(diff) = diff {
+            self.probe(ProbeKind::VegasDiff, id.raw(), diff);
+        }
+    }
+
+    fn apply_transport_actions(
+        &mut self,
+        flow: FlowId,
+        role: Role,
+        node: NodeId,
+        mut actions: Vec<TransportAction>,
+    ) {
+        let now = self.now;
+        for action in actions.drain(..) {
+            match action {
+                TransportAction::SendPacket(packet) => {
+                    self.trace_event(node, || match &packet.body {
+                        Body::Tcp(seg) if seg.is_data() => {
+                            TraceEvent::TcpData { flow, seq: seg.seq }
+                        }
+                        Body::Tcp(seg) => TraceEvent::TcpAck { flow, ack: seg.ack },
+                        Body::Udp(d) => TraceEvent::UdpData { flow, seq: d.seq },
+                        Body::Aodv(_) => unreachable!("transport never sends AODV"),
+                    });
+                    // Custody: a fresh copy enters the network here.
+                    if let (Some(a), Some(flow_raw)) = (&mut self.audit, transport_flow(&packet)) {
+                        a.originate(node.index(), flow_raw);
+                    }
+                    let mut aodv = self.pools.aodv.pop().unwrap_or_default();
+                    self.routers[node.index()].send(now, packet, &mut aodv);
+                    self.apply_aodv_actions(node, aodv);
+                }
+                TransportAction::SetTimer { timer, delay } => {
+                    let slot = &mut self.transport_timers[flow.slot() as usize][role.index()]
+                        [timer.index()];
+                    cancel_timer(&mut self.queue, slot);
+                    *slot = Some(
+                        self.queue
+                            .schedule(now + delay, Event::Transport { flow, role, timer }),
+                    );
+                }
+                TransportAction::CancelTimer(timer) => {
+                    let slot = &mut self.transport_timers[flow.slot() as usize][role.index()]
+                        [timer.index()];
+                    cancel_timer(&mut self.queue, slot);
+                }
+            }
+        }
+        self.pools.transport.push(actions);
+    }
+
+    /// The ledger class a packet's losses are attributed to: its flow's
+    /// traffic class, the `persistent` class for scenario-listed flows,
+    /// or the trailing `unattributed` class when no live flow matches.
+    fn packet_class(&self, packet: &Packet) -> usize {
+        let unattributed = self.ledger.class_names().len() - 1;
+        let id = match &packet.body {
+            Body::Tcp(seg) => seg.flow,
+            Body::Udp(d) => d.flow,
+            Body::Aodv(_) => return unattributed,
+        };
+        match self.flows.get(id) {
+            Some(f) if f.class == PERSISTENT => unattributed - 1,
+            Some(f) => f.class as usize,
+            None => unattributed,
+        }
+    }
+
+    /// Records a drop in the flight recorder and — for transport-bodied
+    /// packets — in the ledger (the ledger is a *data-plane* account;
+    /// dropped AODV control messages would muddy the per-cause tables)
+    /// and, when the reason ends custody, in the audit.
+    fn record_drop(&mut self, node: NodeId, packet: &Packet, reason: DropReason) {
+        if let Some(flow) = transport_flow(packet) {
+            let class = self.packet_class(packet);
+            self.ledger.record(node.index(), class, reason);
+            if reason.is_terminal() {
+                if let Some(a) = &mut self.audit {
+                    a.terminal_drop(node.index(), flow);
+                }
+            }
+        }
+        self.flight_note(node, FlightKind::Drop, packet.uid, reason.index() as u8);
+    }
+
+    /// Appends a record to the flight recorder; `reason` is a
+    /// [`DropReason`] index for drops and [`NO_REASON`] otherwise.
+    fn flight_note(&self, node: NodeId, kind: FlightKind, id: u64, reason: u8) {
+        self.flight
+            .lock()
+            .expect("flight recorder lock poisoned")
+            .record(FlightRecord {
+                t_nanos: self.now.as_nanos(),
+                id,
+                node: node.raw(),
+                kind,
+                reason,
+            });
+    }
+
+    /// Records a trace event at `node`; the closure runs only when
+    /// tracing is on.
+    fn trace_event(&mut self, node: NodeId, event: impl FnOnce() -> TraceEvent) {
+        if let Some(buf) = &mut self.trace {
+            buf.push(TraceRecord {
+                time: self.now,
+                node,
+                event: event(),
+            });
+        }
+    }
+
+    fn probe(&mut self, kind: ProbeKind, id: u32, value: f64) {
+        if let Some(p) = &mut self.probes {
+            p.record(self.now, kind, id, value);
+        }
     }
 }

@@ -1,21 +1,10 @@
-//! Flow store split for the sharded engine.
+//! The flow slab: one generation-checked slot per flow.
 //!
-//! PR 6's slab kept each flow as one struct. During a parallel batch the
-//! same flow's two endpoints can be handled by *different* workers in the
-//! same window (the source's ACK cascade and the sink's data cascade), so
-//! one `&mut Flow` per flow would alias across threads. The store
-//! therefore splits each flow three ways:
-//!
-//! * [`FlowMeta`] — endpoints, class, transaction bookkeeping. Immutable
-//!   while a batch is in flight (flow churn is sequential-only), so
-//!   workers read it freely.
-//! * [`FlowSrc`] — the sender agent and its window average. Owned by the
-//!   worker that owns `meta.src`.
-//! * [`FlowDst`] — the sink agent and delivery accounting. Owned by the
-//!   worker that owns `meta.dst`.
-//!
-//! The [`FlowStore`] trait is how the cascade code sees either the real
-//! sequential store ([`Flows`]) or a worker's disjoint-ownership view.
+//! Persistent (scenario-listed) flows occupy slots `0..n` forever;
+//! open-loop traffic flows churn through the remainder via a LIFO free
+//! list. Each vacated slot bumps its generation, so a stale [`FlowId`]
+//! (a packet or timer from a finished flow) never reaches the slot's
+//! next tenant.
 
 use mwn_pkt::{FlowId, NodeId};
 use mwn_sim::stats::TimeWeightedAverage;
@@ -23,12 +12,20 @@ use mwn_sim::SimTime;
 
 use super::{SinkAgent, SourceAgent};
 
-/// Per-flow facts that never change while the flow is live (and, during
-/// a parallel batch, are not written at all).
-#[derive(Debug, Clone, Copy)]
-pub(super) struct FlowMeta {
+/// One live flow: its endpoints, both transport agents and the
+/// accounting the network reports per flow.
+#[derive(Debug)]
+pub(super) struct Flow {
     pub src: NodeId,
     pub dst: NodeId,
+    pub source: SourceAgent,
+    pub sink: SinkAgent,
+    /// Packets delivered in order at the sink (goodput numerator).
+    pub delivered: u64,
+    /// When the sink last advanced (for latency measurements).
+    pub last_delivery: Option<SimTime>,
+    /// Time-weighted congestion window (TCP only).
+    pub cwnd_twa: TimeWeightedAverage,
     /// Traffic class index, or [`super::PERSISTENT`].
     pub class: u32,
     /// When the transaction this leg belongs to started (the request
@@ -40,54 +37,29 @@ pub(super) struct FlowMeta {
     pub response: Option<u64>,
 }
 
-/// Source-side state: mutated only by cascades at `meta.src`.
-#[derive(Debug)]
-pub(super) struct FlowSrc {
-    pub source: SourceAgent,
-    /// Time-weighted congestion window (TCP only).
-    pub cwnd_twa: TimeWeightedAverage,
-}
-
-/// Sink-side state: mutated only by cascades at `meta.dst`.
-#[derive(Debug)]
-pub(super) struct FlowDst {
-    pub sink: SinkAgent,
-    /// Packets delivered in order at the sink (goodput numerator).
-    pub delivered: u64,
-    /// When the sink last advanced (for latency measurements).
-    pub last_delivery: Option<SimTime>,
-}
-
 /// One slot of the flow slab. The generation counter increments every
-/// time the slot is vacated, so a stale [`FlowId`] (packets or timers
-/// from a finished flow) can never reach the slot's next tenant.
+/// time the slot is vacated.
 #[derive(Debug)]
 pub(super) struct FlowSlot {
     pub generation: u32,
-    pub meta: Option<FlowMeta>,
+    pub flow: Option<Flow>,
 }
 
-/// The sequential flow store: parallel slot/src/dst vectors plus the
-/// free list. Persistent flows occupy slots `0..n` forever; traffic
-/// flows churn through the remainder.
+/// The flow slab plus its free list.
 #[derive(Debug, Default)]
 pub(super) struct Flows {
     pub slots: Vec<FlowSlot>,
-    pub srcs: Vec<Option<FlowSrc>>,
-    pub dsts: Vec<Option<FlowDst>>,
     /// Vacated slot indices, reused LIFO.
     pub free: Vec<u32>,
 }
 
 impl Flows {
     /// Appends a live flow at build time (persistent scenario flows).
-    pub(super) fn push_persistent(&mut self, meta: FlowMeta, src: FlowSrc, dst: FlowDst) {
+    pub(super) fn push_persistent(&mut self, flow: Flow) {
         self.slots.push(FlowSlot {
             generation: 0,
-            meta: Some(meta),
+            flow: Some(flow),
         });
-        self.srcs.push(Some(src));
-        self.dsts.push(Some(dst));
     }
 
     /// Slots allocated so far (not all occupied).
@@ -97,136 +69,65 @@ impl Flows {
 
     /// Occupied slots.
     pub(super) fn live(&self) -> usize {
-        self.slots.iter().filter(|s| s.meta.is_some()).count()
+        self.slots.iter().filter(|s| s.flow.is_some()).count()
     }
 
-    /// Generation-checked read access to a flow's immutable half.
-    pub(super) fn meta_ref(&self, flow: FlowId) -> Option<&FlowMeta> {
-        let slot = self.slots.get(flow.slot() as usize)?;
-        if slot.generation != flow.generation() {
+    /// Generation-checked lookup.
+    pub(super) fn get(&self, id: FlowId) -> Option<&Flow> {
+        let slot = self.slots.get(id.slot() as usize)?;
+        if slot.generation != id.generation() {
             return None;
         }
-        slot.meta.as_ref()
+        slot.flow.as_ref()
     }
 
-    /// Generation-checked read access to the source half.
-    pub(super) fn src_ref(&self, flow: FlowId) -> Option<&FlowSrc> {
-        self.meta_ref(flow)?;
-        self.srcs[flow.slot() as usize].as_ref()
+    /// Generation-checked mutable lookup.
+    pub(super) fn get_mut(&mut self, id: FlowId) -> Option<&mut Flow> {
+        let slot = self.slots.get_mut(id.slot() as usize)?;
+        if slot.generation != id.generation() {
+            return None;
+        }
+        slot.flow.as_mut()
     }
 
-    /// Generation-checked read access to the sink half.
-    pub(super) fn dst_ref(&self, flow: FlowId) -> Option<&FlowDst> {
-        self.meta_ref(flow)?;
-        self.dsts[flow.slot() as usize].as_ref()
-    }
-
-    /// Disjoint borrows for a parallel batch: shared slots/metas, and the
-    /// two mutable halves for [`super::batch`]'s ownership-checked views.
-    pub(super) fn split_for_batch(
-        &mut self,
-    ) -> (&[FlowSlot], &mut [Option<FlowSrc>], &mut [Option<FlowDst>]) {
-        (&self.slots, &mut self.srcs, &mut self.dsts)
-    }
-}
-
-/// How cascade code reaches flow state: implemented by the sequential
-/// [`Flows`] store and by the per-worker disjoint view in
-/// [`super::batch`]. The slot-churn methods (`spawn_slot` / `fill_slot` /
-/// `vacate`) exist only on the sequential path — open-loop traffic never
-/// runs inside a batch — and panic on a worker view.
-pub(super) trait FlowStore {
-    /// Generation-checked lookup of the immutable half.
-    fn meta(&self, flow: FlowId) -> Option<&FlowMeta>;
-    /// Generation-checked lookup of the source half.
-    fn src_mut(&mut self, flow: FlowId) -> Option<&mut FlowSrc>;
-    /// Generation-checked lookup of the sink half.
-    fn dst_mut(&mut self, flow: FlowId) -> Option<&mut FlowDst>;
     /// Appends (in slot order) every live TCP flow whose source is `node`
     /// — the ELFN route-failure fanout set.
-    fn collect_tcp_src_flows(&self, node: NodeId, out: &mut Vec<FlowId>);
-    /// Claims a slot for a new traffic flow: `(slot, generation)`.
-    fn spawn_slot(&mut self) -> (u32, u32);
-    /// Fills a slot claimed by [`spawn_slot`](Self::spawn_slot).
-    fn fill_slot(&mut self, slot: u32, meta: FlowMeta, src: FlowSrc, dst: FlowDst);
-    /// Vacates a completed flow's slot (bumping its generation) and
-    /// returns the evicted state.
-    fn vacate(&mut self, flow: FlowId) -> (FlowMeta, FlowSrc, FlowDst);
-}
-
-impl FlowStore for Flows {
-    fn meta(&self, flow: FlowId) -> Option<&FlowMeta> {
-        self.meta_ref(flow)
-    }
-
-    fn src_mut(&mut self, flow: FlowId) -> Option<&mut FlowSrc> {
-        let slot = self.slots.get(flow.slot() as usize)?;
-        if slot.generation != flow.generation() || slot.meta.is_none() {
-            return None;
-        }
-        self.srcs[flow.slot() as usize].as_mut()
-    }
-
-    fn dst_mut(&mut self, flow: FlowId) -> Option<&mut FlowDst> {
-        let slot = self.slots.get(flow.slot() as usize)?;
-        if slot.generation != flow.generation() || slot.meta.is_none() {
-            return None;
-        }
-        self.dsts[flow.slot() as usize].as_mut()
-    }
-
-    fn collect_tcp_src_flows(&self, node: NodeId, out: &mut Vec<FlowId>) {
+    pub(super) fn collect_tcp_src_flows(&self, node: NodeId, out: &mut Vec<FlowId>) {
         for (i, slot) in self.slots.iter().enumerate() {
-            let Some(meta) = &slot.meta else { continue };
-            if meta.src != node {
-                continue;
-            }
-            let is_tcp = matches!(
-                self.srcs[i].as_ref().map(|s| &s.source),
-                Some(SourceAgent::Tcp(_))
-            );
-            if is_tcp {
+            let Some(flow) = &slot.flow else { continue };
+            if flow.src == node && matches!(flow.source, SourceAgent::Tcp(_)) {
                 out.push(FlowId::from_parts(i as u32, slot.generation));
             }
         }
     }
 
-    fn spawn_slot(&mut self) -> (u32, u32) {
-        let slot = match self.free.pop() {
-            Some(s) => s,
-            None => {
-                let s = self.slots.len() as u32;
-                self.slots.push(FlowSlot {
-                    generation: 0,
-                    meta: None,
-                });
-                self.srcs.push(None);
-                self.dsts.push(None);
-                s
-            }
-        };
+    /// Claims a slot for a new traffic flow: `(slot, generation)`.
+    pub(super) fn spawn_slot(&mut self) -> (u32, u32) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(FlowSlot {
+                generation: 0,
+                flow: None,
+            });
+            self.slots.len() as u32 - 1
+        });
         (slot, self.slots[slot as usize].generation)
     }
 
-    fn fill_slot(&mut self, slot: u32, meta: FlowMeta, src: FlowSrc, dst: FlowDst) {
-        let i = slot as usize;
-        debug_assert!(self.slots[i].meta.is_none(), "filling an occupied slot");
-        self.slots[i].meta = Some(meta);
-        self.srcs[i] = Some(src);
-        self.dsts[i] = Some(dst);
+    /// Fills a slot claimed by [`spawn_slot`](Self::spawn_slot).
+    pub(super) fn fill_slot(&mut self, slot: u32, flow: Flow) {
+        let entry = &mut self.slots[slot as usize];
+        debug_assert!(entry.flow.is_none(), "filling an occupied slot");
+        entry.flow = Some(flow);
     }
 
-    fn vacate(&mut self, flow: FlowId) -> (FlowMeta, FlowSrc, FlowDst) {
-        let i = flow.slot() as usize;
-        let entry = &mut self.slots[i];
-        debug_assert_eq!(entry.generation, flow.generation(), "stale completion");
-        let meta = entry.meta.take().expect("completing an empty slot");
+    /// Vacates a completed flow's slot (bumping its generation) and
+    /// returns the evicted flow.
+    pub(super) fn vacate(&mut self, id: FlowId) -> Flow {
+        let entry = &mut self.slots[id.slot() as usize];
+        debug_assert_eq!(entry.generation, id.generation(), "stale completion");
+        let flow = entry.flow.take().expect("completing an empty slot");
         entry.generation = (entry.generation + 1) % FlowId::GENERATIONS;
-        let src = self.srcs[i]
-            .take()
-            .expect("vacating a slot without a source");
-        let dst = self.dsts[i].take().expect("vacating a slot without a sink");
-        self.free.push(flow.slot());
-        (meta, src, dst)
+        self.free.push(id.slot());
+        flow
     }
 }

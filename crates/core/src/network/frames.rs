@@ -1,14 +1,13 @@
-//! Frame slab: `Send`-able storage for frames on the air.
+//! Frame slab: storage for frames on the air.
 //!
-//! PR 4 shared one `Rc<MacFrame>` per transmission between every receiver's
-//! pending `SignalEnd`. `Rc` pins the whole network to one thread, so the
-//! sharded engine replaces it with a slab: the payload lives in a slot, and
-//! the [`TxId`] carried by `SignalStart`/`SignalEnd` events packs the slot
-//! index with a reuse generation. Receivers borrow the frame by id; the
-//! generation check makes a stale id (a straggler event naming a slot that
-//! was freed and recycled) a *detected* miss instead of silently decoding
-//! the slot's next tenant — the failure mode the fault-injection tests in
-//! this module pin down.
+//! One transmission's payload is shared by every receiver's pending
+//! `SignalEnd`. It lives in a slab slot, and the [`TxId`] carried by
+//! `SignalStart`/`SignalEnd` events packs the slot index with a reuse
+//! generation. Receivers borrow the frame by id; the generation check
+//! makes a stale id (a straggler event naming a slot that was freed and
+//! recycled) a *detected* miss instead of silently decoding the slot's
+//! next tenant — the failure mode the fault-injection tests in this
+//! module pin down, counted by `Network::stale_frame_releases`.
 //!
 //! Slots are freed when the last outstanding `SignalEnd` releases them, so
 //! allocation order (and therefore every `TxId` value) is a deterministic

@@ -94,7 +94,6 @@ pub fn simulate_instrumented(spec: &JobSpec) -> RunResults {
             probe_capacity: 0,
             profile: true,
             audit: false,
-            shards: 0,
         },
     )
 }

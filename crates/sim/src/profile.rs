@@ -38,21 +38,17 @@ impl EngineProfile {
         if queue_depth > self.peak_queue_depth {
             self.peak_queue_depth = queue_depth;
         }
-        self.bump(kind, 1);
-    }
-
-    /// Adds `n` to `kind`'s bucket. Callers pass the same literal for the
-    /// same kind, so `std::ptr::eq` almost always hits; content equality
-    /// is the correctness fallback for distinct instances of equal
-    /// strings (e.g. across codegen units).
-    fn bump(&mut self, kind: &'static str, n: u64) {
+        // Callers pass the same literal for the same kind, so
+        // `std::ptr::eq` almost always hits; content equality is the
+        // correctness fallback for distinct instances of equal strings
+        // (e.g. across codegen units).
         for (k, count) in &mut self.by_kind {
             if std::ptr::eq(*k as *const str, kind as *const str) || *k == kind {
-                *count += n;
+                *count += 1;
                 return;
             }
         }
-        self.by_kind.push((kind, n));
+        self.by_kind.push((kind, 1));
     }
 
     /// Adds one invocation of the timed section `kind` lasting `secs`
@@ -123,24 +119,6 @@ impl EngineProfile {
             0.0
         }
     }
-
-    /// Folds another profile into this one (peak depth takes the max).
-    pub fn merge(&mut self, other: &EngineProfile) {
-        self.events_processed += other.events_processed;
-        self.peak_queue_depth = self.peak_queue_depth.max(other.peak_queue_depth);
-        for &(k, n) in &other.by_kind {
-            self.bump(k, n);
-        }
-        for &(k, count, secs) in &other.timed {
-            match self.timed.iter_mut().find(|(mk, ..)| *mk == k) {
-                Some((_, mcount, mtotal)) => {
-                    *mcount += count;
-                    *mtotal += secs;
-                }
-                None => self.timed.push((k, count, secs)),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -178,10 +156,10 @@ mod tests {
         assert_eq!(a.timed(), vec![("medium_recompute", 2, 0.75)]);
         assert!((a.timed_secs("medium_recompute") - 0.75).abs() < 1e-12);
         assert_eq!(a.timed_secs("unknown"), 0.0);
-        let mut b = EngineProfile::new();
-        b.record_timed("medium_recompute", 0.25);
-        b.record_timed("other", 1.0);
-        a.merge(&b);
+        // Records under the same key merge into one bucket; a new key
+        // opens its own.
+        a.record_timed("medium_recompute", 0.25);
+        a.record_timed("other", 1.0);
         assert_eq!(
             a.timed(),
             vec![("medium_recompute", 3, 1.0), ("other", 1, 1.0)]
@@ -201,27 +179,5 @@ mod tests {
         let (sk, sn, ss) = singles.timed()[0];
         assert_eq!((bk, bn), (sk, sn));
         assert!((bs - ss).abs() < 1e-12, "batched {bs} vs singles {ss}");
-        // Split buckets survive a merge with per-bucket fidelity — the
-        // sharded path must report identical totals at any shard count.
-        let mut merged = EngineProfile::new();
-        merged.record_timed_n("medium_tick", 2, 0.1);
-        merged.merge(&batched);
-        assert_eq!(
-            merged.timed(),
-            vec![("medium_lazy", 3, 0.6), ("medium_tick", 2, 0.1)]
-        );
-    }
-
-    #[test]
-    fn merge_sums_counts_and_maxes_depth() {
-        let mut a = EngineProfile::new();
-        a.record("x", 4);
-        let mut b = EngineProfile::new();
-        b.record("x", 9);
-        b.record("y", 1);
-        a.merge(&b);
-        assert_eq!(a.events_processed(), 3);
-        assert_eq!(a.peak_queue_depth(), 9);
-        assert_eq!(a.by_kind(), vec![("x", 2), ("y", 1)]);
     }
 }

@@ -282,71 +282,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The timestamp of the next live event, **only if** it is at or
-    /// before `limit` — without advancing the wheel.
-    ///
-    /// [`peek_time`](Self::peek_time) commits the wheel's cursor to the
-    /// next event's granule, after which nothing earlier may be
-    /// scheduled. Callers that peek ahead *speculatively* — like the
-    /// batch engine probing whether another event falls inside its
-    /// burst horizon — must not pay that commitment for events they
-    /// will not pop. This read-only scan visits only the buckets whose
-    /// tick range intersects `[cur, limit]`, so with a limit a few
-    /// granules out it touches a handful of slots regardless of queue
-    /// size.
-    pub fn peek_time_within(&self, limit: SimTime) -> Option<SimTime> {
-        let limit_ns = limit.as_nanos();
-        let limit_tick = limit_ns >> GRAN_BITS;
-        if limit_tick < self.cur_tick {
-            return None;
-        }
-        let mut best: Option<u64> = None;
-        let mut consider = |time_ns: u64| {
-            if time_ns <= limit_ns && best.is_none_or(|b| time_ns < b) {
-                best = Some(time_ns);
-            }
-        };
-        // The ready heap can hold lazily-cancelled entries; skip them.
-        for &Reverse(ent) in &self.ready {
-            if self.slab[ent.idx as usize].state == State::Pending {
-                consider(ent.time_ns);
-            }
-        }
-        // Wheel buckets are eagerly pruned on cancel, so every entry is
-        // live. Only slots covering ticks in `[cur, limit]` within each
-        // level's current frame can qualify; an occupied earlier slot
-        // belongs to the level's *next* frame (see `refill`).
-        for level in 0..LEVELS {
-            let shift = SLOT_BITS * level as u32;
-            let lo = self.cur_tick >> shift;
-            let hi = limit_tick >> shift;
-            let s_lo = (lo & SLOT_MASK) as u32;
-            let s_hi = if (hi & !SLOT_MASK) == (lo & !SLOT_MASK) {
-                (hi & SLOT_MASK) as u32
-            } else {
-                SLOT_MASK as u32
-            };
-            let mut occ = self.occ[level] & (!0u64 << s_lo) & (!0u64 >> (63 - s_hi));
-            while occ != 0 {
-                let slot = occ.trailing_zeros() as usize;
-                occ &= occ - 1;
-                for ent in &self.levels[level][slot] {
-                    consider(ent.time_ns);
-                }
-            }
-        }
-        // The overflow heap starts a whole top-level frame out; scan it
-        // only when the limit reaches that far.
-        if (limit_tick >> TOP_BITS) != (self.cur_tick >> TOP_BITS) {
-            for &Reverse(ent) in &self.overflow {
-                if self.slab[ent.idx as usize].state == State::Pending {
-                    consider(ent.time_ns);
-                }
-            }
-        }
-        best.map(SimTime::from_nanos)
-    }
-
     /// Number of live (non-cancelled) events.
     pub fn len(&self) -> usize {
         self.live
@@ -669,54 +604,6 @@ mod tests {
         assert_eq!(q.pop(), Some((t(500_000), 3)));
         assert_eq!(q.pop(), Some((t(2_000_000), 1)));
         assert_eq!(q.pop(), None);
-    }
-
-    /// The whole point of `peek_time_within`: probing past the next
-    /// event must not commit the wheel, so earlier schedules stay legal.
-    #[test]
-    fn bounded_peek_does_not_advance_the_wheel() {
-        let mut q = EventQueue::new();
-        q.schedule(t(5_000_000), 'z'); // 5 ms out
-        assert_eq!(q.peek_time_within(t(100_000)), None);
-        // A plain peek here would advance to the 5 ms granule and make
-        // this schedule panic.
-        q.schedule(t(10_000), 'a');
-        assert_eq!(q.pop(), Some((t(10_000), 'a')));
-        assert_eq!(q.pop(), Some((t(5_000_000), 'z')));
-    }
-
-    #[test]
-    fn bounded_peek_finds_events_across_granules_and_levels() {
-        let mut q = EventQueue::new();
-        // Level-1 resident (beyond the 65 µs level-0 frame).
-        q.schedule(t(80_000), 'b');
-        assert_eq!(q.peek_time_within(t(79_999)), None);
-        assert_eq!(q.peek_time_within(t(80_000)), Some(t(80_000)));
-        // A nearer level-0 event wins.
-        q.schedule(t(3_000), 'a');
-        assert_eq!(q.peek_time_within(t(80_000)), Some(t(3_000)));
-        // Cancelled events are invisible.
-        let c = q.schedule(t(1_000), 'c');
-        q.cancel(c);
-        assert_eq!(q.peek_time_within(t(80_000)), Some(t(3_000)));
-        assert_eq!(q.pop(), Some((t(3_000), 'a')));
-        assert_eq!(q.pop(), Some((t(80_000), 'b')));
-        assert_eq!(q.peek_time_within(t(1 << 40)), None);
-    }
-
-    #[test]
-    fn bounded_peek_sees_the_ready_heap_and_overflow() {
-        let mut q = EventQueue::new();
-        q.schedule(t(1_000), 'a');
-        q.schedule(t(1_100), 'b'); // same granule → both hit ready
-        assert_eq!(q.pop(), Some((t(1_000), 'a')));
-        assert_eq!(q.peek_time_within(t(1_050)), None);
-        assert_eq!(q.peek_time_within(t(1_100)), Some(t(1_100)));
-        let beyond = 1u64 << (GRAN_BITS + TOP_BITS);
-        q.schedule(t(beyond + 3), 'z');
-        assert_eq!(q.peek_time_within(t(beyond)), Some(t(1_100)));
-        assert_eq!(q.pop(), Some((t(1_100), 'b')));
-        assert_eq!(q.peek_time_within(t(beyond + 10)), Some(t(beyond + 3)));
     }
 
     #[test]
