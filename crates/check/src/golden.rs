@@ -48,13 +48,14 @@ impl CanonicalCase {
     }
 
     /// Runs the case: trace, digest, invariant check, the post-run
-    /// packet-custody conservation audit and the traffic journal.
+    /// `conservation` and `observe` accounting rules and the traffic
+    /// journal.
     pub fn run(&self) -> CaseReport {
         let scenario = self.scenario();
         let (records, net) = crate::run_case(&scenario, self.target, self.deadline);
         let ctx = CheckContext::for_scenario(&scenario);
         let mut violations = check(&records, &ctx);
-        violations.extend(crate::conservation_violations(&net));
+        violations.extend(crate::conservation_violations(&records, &net));
         let (count, hash) = trace_digest(&records);
         CaseReport {
             name: self.name,

@@ -1,7 +1,7 @@
 //! `mwn-check` — cross-layer correctness checking for the simulator.
 //!
 //! Three complementary instruments, all consuming the typed
-//! [`TraceEvent`](mwn::trace::TraceEvent) stream that every layer of the
+//! [`TraceEvent`] stream that every layer of the
 //! stack emits:
 //!
 //! * **[`checker`]** — runtime invariants spanning PHY, MAC, routing and
@@ -11,7 +11,10 @@
 //!   simulation uses), AODV destination-sequence monotonicity and
 //!   loop-freedom, TCP congestion-window bounds, cumulative-ACK
 //!   monotonicity, send-window containment and Vegas `diff` sanity. Every
-//!   violation carries the offending trace window for diagnosis.
+//!   violation carries the offending trace window for diagnosis. After
+//!   the run, [`conservation_violations`] adds the `conservation` rule
+//!   (packet custody balances) and the `observe` rule (the trace, the
+//!   drop ledger and the custody audit agree).
 //! * **[`golden`]** — golden-trace conformance: compact digests (record
 //!   count + FNV-1a 64 hash of the JSONL export) of canonical scenarios,
 //!   committed under `golden/digests.txt` and regenerated with
@@ -34,7 +37,7 @@ pub use checker::{check, CheckContext, Violation};
 pub use fuzz::{fuzz, FuzzFailure, ScenarioSpec};
 pub use golden::{canonical_cases, fast_cases, CanonicalCase, CaseReport};
 
-use mwn::trace::TraceRecord;
+use mwn::trace::{TraceEvent, TraceRecord};
 use mwn::{Network, Scenario, SimDuration, SimTime};
 use mwn_pkt::NodeId;
 
@@ -80,50 +83,66 @@ pub fn run_traced(scenario: &Scenario, target: u64, deadline: SimDuration) -> Ve
     run_case(scenario, target, deadline).0
 }
 
-/// Converts a failed conservation audit into checker violations: one per
-/// imbalanced node or flow (rule `"conservation"`). The flight recorder's
-/// tail rides along in the violation window, so the last packet-lifecycle
-/// events leading up to the imbalance are visible in diagnostics.
-pub fn conservation_violations(net: &Network) -> Vec<Violation> {
+/// The post-run accounting rules over a finished network and its full
+/// trace (none when the audit was off). `conservation` fires per node or
+/// flow whose custody equation fails (a leak or a double-free). `observe`
+/// fires when the side-bands disagree: audit originations must equal the
+/// trace's `TcpData` + `TcpAck` + `UdpData` records, and audit terminal
+/// drops the drop ledger's terminal total. Every violation window holds
+/// the flight recorder's dump: the last lifecycle events before the fault.
+pub fn conservation_violations(records: &[TraceRecord], net: &Network) -> Vec<Violation> {
     let Some(report) = net.conservation_report() else {
         return Vec::new();
     };
-    if report.is_balanced() {
+    let mut found = Vec::new();
+    for imb in &report.node_imbalances {
+        let message = format!("node custody imbalance: {imb}");
+        found.push(("conservation", imb.id as u32, message));
+    }
+    for imb in &report.flow_imbalances {
+        found.push(("conservation", 0, format!("flow custody imbalance: {imb}")));
+    }
+    let (totals, terminal) = (report.totals, net.drop_report().terminal_total());
+    let traced = records.iter().filter(|r| {
+        use TraceEvent::{TcpAck, TcpData, UdpData};
+        matches!(r.event, TcpData { .. } | TcpAck { .. } | UdpData { .. })
+    });
+    let traced = traced.count() as u64;
+    if totals.originated != traced {
+        let n = totals.originated;
+        let message = format!("audit originated {n}, trace has {traced} TcpData/TcpAck/UdpData");
+        found.push(("observe", 0, message));
+    }
+    if totals.dropped != terminal {
+        let n = totals.dropped;
+        let message = format!("audit dropped {n}, drop ledger has {terminal} terminal drops");
+        found.push(("observe", 0, message));
+    }
+    if found.is_empty() {
         return Vec::new();
     }
     let window = net.flight_dump();
-    let now = net.now();
-    let mut out = Vec::new();
-    for imb in &report.node_imbalances {
-        out.push(Violation {
-            rule: "conservation",
-            index: out.len(),
-            time: now,
-            node: NodeId(imb.id as u32),
-            message: format!("node custody imbalance: {imb}"),
+    found
+        .into_iter()
+        .enumerate()
+        .map(|(index, (rule, node, message))| Violation {
+            rule,
+            index,
+            time: net.now(),
+            node: NodeId(node),
+            message,
             window: window.clone(),
-        });
-    }
-    for imb in &report.flow_imbalances {
-        out.push(Violation {
-            rule: "conservation",
-            index: out.len(),
-            time: now,
-            node: NodeId(0),
-            message: format!("flow custody imbalance: {imb}"),
-            window: window.clone(),
-        });
-    }
-    out
+        })
+        .collect()
 }
 
 /// Runs `scenario` under the invariant checker (trace rules plus the
-/// post-run conservation audit) and returns the violations (empty for a
-/// conforming run).
+/// post-run `conservation` and `observe` rules) and returns the
+/// violations (empty for a conforming run).
 pub fn check_scenario(scenario: &Scenario, target: u64, deadline: SimDuration) -> Vec<Violation> {
     let ctx = CheckContext::for_scenario(scenario);
     let (records, net) = run_case(scenario, target, deadline);
     let mut violations = check(&records, &ctx);
-    violations.extend(conservation_violations(&net));
+    violations.extend(conservation_violations(&records, &net));
     violations
 }

@@ -3,10 +3,13 @@
 //! packet) or double-free (AODV hands one buffered packet to the MAC
 //! twice) and assert the `conservation` rule fires — and that the same
 //! scenario is clean with the fault off. Companion to `faults.rs`, which
-//! does the same for the trace-level invariant rules.
+//! does the same for the trace-level invariant rules. The `observe` rule
+//! (the trace, ledger and audit agree) is proved the same way, by
+//! tampering with a clean run's trace.
 
+use mwn::trace::TraceEvent;
 use mwn::{AodvConfig, DataRate, MacParams, Scenario, SimDuration, TrafficModel, Transport};
-use mwn_check::check_scenario;
+use mwn_check::{check_scenario, conservation_violations, run_case};
 
 fn rules(violations: &[mwn_check::Violation]) -> Vec<&'static str> {
     violations.iter().map(|v| v.rule).collect()
@@ -131,5 +134,34 @@ fn conservation_violation_carries_flight_recorder_dump() {
         cons.window.len() > 1 && cons.window.iter().any(|l| l.contains("flow_open")),
         "flight dump should contain recorded flow events: {:?}",
         &cons.window[..cons.window.len().min(5)]
+    );
+}
+
+/// The trace, the drop ledger and the custody audit are fed by one
+/// observation point, so on a clean run they agree; the `observe` rule
+/// must notice the moment they do not. Removing a single `TcpData`
+/// record from a clean trace leaves the audit with one origination the
+/// trace no longer shows.
+#[test]
+fn observe_rule_fires_on_a_missing_origination_record() {
+    let clean = Scenario::chain(2, DataRate::MBPS_2, Transport::newreno(), 1);
+    let (mut records, net) = run_case(&clean, 30, SimDuration::from_secs(30));
+    let v = conservation_violations(&records, &net);
+    assert!(
+        v.is_empty(),
+        "clean chain(2) trips the accounting rules: {v:?}"
+    );
+
+    let first = records
+        .iter()
+        .position(|r| matches!(r.event, TraceEvent::TcpData { .. }))
+        .expect("a TCP run originates data");
+    records.remove(first);
+    let v = conservation_violations(&records, &net);
+    assert_eq!(rules(&v), vec!["observe"], "{v:?}");
+    assert!(
+        v[0].message.contains("originated") && v[0].message.contains("TcpData"),
+        "unexpected message: {}",
+        v[0].message
     );
 }

@@ -4,18 +4,11 @@
 //! event's fan-out through PHY, MAC, AODV and transport — lives in
 //! [`cascade`].
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-
 use mwn_aodv::{AodvCounters, NodeMap, Router};
 use mwn_mac80211::{Dcf, MacCounters, MacTimer};
-use mwn_obs::flight::{self, FlightRecorder};
-use mwn_obs::{
-    ConservationAudit, ConservationReport, CounterBlock, DropLedger, DropReason, FctSummary,
-    FlowCounters, MetricsSnapshot, NodeCounters, ProbeBuffer,
-};
+use mwn_obs::{CounterBlock, FctSummary, FlowCounters, MetricsSnapshot, NodeCounters};
 use mwn_phy::{EnergyMeter, EnergyParams, Medium, Transceiver, TxId};
-use mwn_pkt::{Body, FlowId, NodeId, Packet};
+use mwn_pkt::{FlowId, NodeId, Packet};
 use mwn_sim::stats::TimeWeightedAverage;
 use mwn_sim::{EngineProfile, EventId, EventQueue, Pcg32, SimDuration, SimTime};
 use mwn_tcp::{
@@ -25,15 +18,16 @@ use mwn_traffic::TrafficEngine;
 
 use crate::mobility::MobilityModel;
 use crate::scenario::{Scenario, Transport};
-use crate::trace::{TraceBuffer, TraceRecord};
 
 mod cascade;
 mod flows;
 mod frames;
+mod observe;
 
 use cascade::Pools;
 use flows::{Flow, Flows};
 use frames::FrameSlab;
+use observe::SideBands;
 
 /// Which end of a flow a transport timer belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -120,16 +114,6 @@ enum SinkAgent {
 /// Class marker for persistent (scenario-listed) flows, which never
 /// complete and never free their slot.
 const PERSISTENT: u32 = u32::MAX;
-
-/// The flow a transport-bodied packet belongs to (`FlowId::raw`); `None`
-/// for AODV control traffic, which the custody audit excludes.
-fn transport_flow(packet: &Packet) -> Option<u32> {
-    match &packet.body {
-        Body::Tcp(seg) => Some(seg.flow.raw()),
-        Body::Udp(d) => Some(d.flow.raw()),
-        Body::Aodv(_) => None,
-    }
-}
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
@@ -219,16 +203,10 @@ pub struct Network {
     /// Flat per-flow transport timer table, `[role][timer]`.
     transport_timers: Vec<[[Option<EventId>; TransportTimer::COUNT]; 2]>,
     total_delivered: u64,
-    trace: Option<TraceBuffer>,
-    probes: Option<ProbeBuffer>,
+    /// Trace, probes, drop ledger, custody audit and flight recorder, fed
+    /// only through [`Network::observe`] and its two trace/probe helpers.
+    obs: SideBands,
     profile: Option<EngineProfile>,
-    /// Always-on loss ledger: one array increment per drop event.
-    ledger: DropLedger,
-    /// Opt-in custody tracking for the conservation audit.
-    audit: Option<ConservationAudit>,
-    /// Always-on flight recorder of the rare events, shared with the
-    /// panic hook via [`mwn_obs::flight::register`].
-    flight: Arc<Mutex<FlightRecorder>>,
     mobility: Option<MobilityModel>,
     /// Reused moved-node batch for the mobility tick: only nodes whose
     /// position actually changed (paused nodes don't) are handed to the
@@ -365,24 +343,9 @@ impl Network {
         // the scenario's persistent flows, then a catch-all for losses that
         // cannot be attributed to a live flow (stale generations, PHY
         // frame-level tallies).
-        let mut class_names: Vec<String> = scenario
-            .traffic
-            .as_ref()
-            .map(|spec| {
-                spec.model
-                    .class_names()
-                    .iter()
-                    .map(|n| n.to_string())
-                    .collect()
-            })
-            .unwrap_or_default();
-        class_names.push("persistent".into());
-        class_names.push("unattributed".into());
-        let ledger = DropLedger::new(n, class_names);
-        let flight = Arc::new(Mutex::new(FlightRecorder::new(
-            mwn_obs::flight::DEFAULT_CAPACITY,
-        )));
-        flight::register(&flight);
+        let traffic_classes = scenario.traffic.iter().flat_map(|t| t.model.class_names());
+        let class_names = traffic_classes.chain(["persistent", "unattributed"]);
+        let obs = SideBands::new(n, class_names.map(String::from).collect());
 
         let flow_count = scenario.flows.len();
         Network {
@@ -401,50 +364,13 @@ impl Network {
             discovery_timers: vec![NodeMap::new(); n],
             transport_timers: vec![[[None; TransportTimer::COUNT]; 2]; flow_count],
             total_delivered: 0,
-            trace: None,
-            probes: None,
+            obs,
             profile: None,
-            ledger,
-            audit: None,
-            flight,
             mobility,
             moved: Vec::new(),
             eager_medium: false,
             pools: Pools::default(),
         }
-    }
-
-    /// Enables structured event tracing into a ring buffer of `capacity`
-    /// records. See [`crate::trace`].
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(TraceBuffer::new(capacity));
-    }
-
-    /// The retained trace records (empty unless tracing was enabled).
-    pub fn trace(&self) -> Vec<&TraceRecord> {
-        self.trace
-            .as_ref()
-            .map(|t| t.records().collect())
-            .unwrap_or_default()
-    }
-
-    /// Trace records evicted because the ring buffer was full (zero means
-    /// the retained trace is complete).
-    pub fn trace_dropped(&self) -> u64 {
-        self.trace
-            .as_ref()
-            .map_or(0, mwn_obs::trace::TraceBuffer::dropped)
-    }
-
-    /// Enables on-change time-series probes (cwnd, srtt, Vegas diff,
-    /// interface-queue depth) into a ring buffer of `capacity` samples.
-    pub fn enable_probes(&mut self, capacity: usize) {
-        self.probes = Some(ProbeBuffer::new(capacity));
-    }
-
-    /// The probe buffer, if probes were enabled.
-    pub fn probes(&self) -> Option<&ProbeBuffer> {
-        self.probes.as_ref()
     }
 
     /// Enables event-loop self-profiling (events processed, histogram by
@@ -456,80 +382,6 @@ impl Network {
     /// The engine profile, if profiling was enabled.
     pub fn profile(&self) -> Option<&EngineProfile> {
         self.profile.as_ref()
-    }
-
-    /// Enables custody tracking so [`Network::conservation_report`] can
-    /// verify `created = destroyed + residual` per node and per flow.
-    /// Call before running; the equations only balance when every custody
-    /// event since time zero was seen.
-    pub fn enable_audit(&mut self) {
-        self.audit = Some(ConservationAudit::new(self.macs.len()));
-    }
-
-    /// `true` if custody tracking is on.
-    pub fn audit_enabled(&self) -> bool {
-        self.audit.is_some()
-    }
-
-    /// The loss ledger with PHY frame-level tallies synthesized from the
-    /// transceiver counters (collision, capture loss, undecodable). PHY
-    /// losses are per frame, not per packet, so they land in the
-    /// `unattributed` class.
-    pub fn drop_report(&self) -> DropLedger {
-        let mut ledger = self.ledger.clone();
-        let unattributed = ledger.class_names().len() - 1;
-        for (i, t) in self.transceivers.iter().enumerate() {
-            let c = t.counters();
-            ledger.add(i, unattributed, DropReason::PhyCollision, c.collisions);
-            ledger.add(i, unattributed, DropReason::PhyCaptureLoss, c.captures);
-            ledger.add(i, unattributed, DropReason::PhyUndecodable, c.undecoded);
-        }
-        ledger
-    }
-
-    /// Verifies packet conservation: for every node and every flow,
-    /// packets created (originated + delivered up) must equal packets
-    /// destroyed (handed off + consumed + terminally dropped) plus the
-    /// copies still buffered in interface queues, in-service MAC slots
-    /// and AODV discovery buffers. `None` unless
-    /// [`Network::enable_audit`] was called before the run.
-    pub fn conservation_report(&self) -> Option<ConservationReport> {
-        let audit = self.audit.as_ref()?;
-        let mut node_residual = vec![0u64; self.macs.len()];
-        let mut flow_residual: HashMap<u32, u64> = HashMap::new();
-        {
-            let mut count = |i: usize, p: &Packet| {
-                if let Some(flow) = transport_flow(p) {
-                    node_residual[i] += 1;
-                    *flow_residual.entry(flow).or_insert(0) += 1;
-                }
-            };
-            for (i, mac) in self.macs.iter().enumerate() {
-                for p in mac.queued_packets() {
-                    count(i, p);
-                }
-                if let Some(p) = mac.current_packet() {
-                    count(i, p);
-                }
-            }
-            for (i, router) in self.routers.iter().enumerate() {
-                for p in router.buffered_packets() {
-                    count(i, p);
-                }
-            }
-        }
-        Some(audit.verify(&node_residual, &flow_residual))
-    }
-
-    /// The flight recorder's ring rendered as display lines (header plus
-    /// the retained events, oldest first).
-    pub fn flight_dump(&self) -> Vec<String> {
-        self.flight.lock().unwrap().dump_lines()
-    }
-
-    /// Flight-recorder events written so far (retained or evicted).
-    pub fn flight_written(&self) -> u64 {
-        self.flight.lock().unwrap().written()
     }
 
     /// Current simulated time.

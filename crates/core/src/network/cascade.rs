@@ -4,14 +4,14 @@
 //! out through the layers: PHY → MAC → AODV → transport → back down to
 //! the MAC. Each layer reports what it wants done as a list of actions;
 //! the `apply_*` methods decompose each list in order and apply every
-//! action — scheduling, timer tables, the trace/probe/ledger/audit/flight
-//! side-bands — recursing when an action hands a packet to another layer.
-//! The state lives on [`Network`] (the parent module); this module is its
-//! dispatch.
+//! action — scheduling and timer tables — recursing when an action hands
+//! a packet to another layer. Each packet-lifecycle event is reported
+//! once, as an [`Observe`] record, to the observation point in
+//! [`super::observe`]. The state lives on [`Network`] (the parent
+//! module); this module is its dispatch.
 
-use mwn_aodv::{AodvAction, AodvDropReason};
-use mwn_mac80211::{MacAction, MacDropReason, MacTimer};
-use mwn_obs::flight::{FlightKind, FlightRecord, NO_REASON};
+use mwn_aodv::AodvAction;
+use mwn_mac80211::{MacAction, MacTimer};
 use mwn_obs::{DropReason, ProbeKind};
 use mwn_phy::RadioEvent;
 use mwn_pkt::{Body, FlowId, MacFrame, NodeId, Packet};
@@ -20,12 +20,13 @@ use mwn_sim::{EventId, EventQueue, SimTime};
 use mwn_tcp::{TcpSender, TcpSink, TransportAction, TransportTimer};
 
 use crate::scenario::Transport;
-use crate::trace::{TraceEvent, TraceRecord};
+use crate::trace::TraceEvent;
 
 use super::flows::Flow;
+use super::observe::{Cause, Observe};
 use super::{
-    fnv_mix, transport_flow, Event, Network, Role, SinkAgent, SourceAgent, JOURNAL_ARRIVAL,
-    JOURNAL_COMPLETION, PERSISTENT,
+    fnv_mix, Event, Network, Role, SinkAgent, SourceAgent, JOURNAL_ARRIVAL, JOURNAL_COMPLETION,
+    PERSISTENT,
 };
 
 /// Recycled action/event buffers. Dispatch re-enters (a delivered frame
@@ -224,18 +225,7 @@ impl Network {
                 response,
             },
         );
-        self.trace_event(src, || TraceEvent::FlowOpen {
-            flow: flow_id,
-            src,
-            dst,
-            packets,
-        });
-        self.flight_note(
-            src,
-            FlightKind::FlowOpen,
-            u64::from(flow_id.raw()),
-            NO_REASON,
-        );
+        self.observe(src, Observe::FlowOpen(flow_id, dst, packets));
         self.note_window(flow_id);
         self.apply_transport_actions(flow_id, Role::Source, src, actions);
     }
@@ -283,17 +273,7 @@ impl Network {
         t.fct
             .class_mut(flow.class as usize)
             .record_completion(fct, total);
-        self.trace_event(flow.src, || TraceEvent::FlowClose {
-            flow: id,
-            packets: total,
-            fct_nanos: fct.as_nanos(),
-        });
-        self.flight_note(
-            flow.src,
-            FlightKind::FlowClose,
-            u64::from(id.raw()),
-            NO_REASON,
-        );
+        self.observe(flow.src, Observe::FlowClose(id, total, fct.as_nanos()));
     }
 
     fn flow_start(&mut self, id: FlowId) {
@@ -442,14 +422,7 @@ impl Network {
                     cancel_timer(&mut self.queue, slot);
                 }
                 MacAction::Deliver { from, packet } => {
-                    self.trace_event(node, || TraceEvent::MacRx {
-                        uid: packet.uid,
-                        from,
-                    });
-                    // Custody: this node now holds a fresh copy.
-                    if let (Some(a), Some(flow)) = (&mut self.audit, transport_flow(&packet)) {
-                        a.deliver_up(node.index(), flow);
-                    }
+                    self.observe(node, Observe::DeliverUp(&packet, from));
                     let mut aodv = self.pools.aodv.pop().unwrap_or_default();
                     self.routers[node.index()].on_received(now, from, packet, &mut aodv);
                     self.apply_aodv_actions(node, aodv);
@@ -460,25 +433,9 @@ impl Network {
                     success,
                 } => {
                     if success {
-                        // Custody: the next hop's deliver-up created its
-                        // own copy; this node's copy is done.
-                        if let (Some(a), Some(flow)) = (&mut self.audit, transport_flow(&packet)) {
-                            a.handoff(node.index(), flow);
-                        }
+                        self.observe(node, Observe::Handoff(&packet));
                     } else {
-                        self.trace_event(node, || TraceEvent::MacRetryExhausted {
-                            uid: packet.uid,
-                            next_hop,
-                        });
-                        // Frame-level loss: the router still holds the
-                        // packet and decides its terminal fate (always a
-                        // `RouteError` drop), so no custody event here.
-                        if transport_flow(&packet).is_some() {
-                            let class = self.packet_class(&packet);
-                            self.ledger
-                                .record(node.index(), class, DropReason::MacRetryExhausted);
-                        }
-                        self.flight_note(node, FlightKind::TxFail, packet.uid, NO_REASON);
+                        self.observe(node, Observe::TxFail(&packet, next_hop));
                     }
                     let mut aodv = self.pools.aodv.pop().unwrap_or_default();
                     self.routers[node.index()]
@@ -486,13 +443,7 @@ impl Network {
                     self.apply_aodv_actions(node, aodv);
                 }
                 MacAction::Dropped { ref packet, reason } => {
-                    let uid = packet.uid;
-                    self.trace_event(node, || TraceEvent::MacQueueDrop { uid });
-                    let reason = match reason {
-                        MacDropReason::QueueFull => DropReason::IfqOverflow,
-                        MacDropReason::EarlyDrop => DropReason::MacEarlyDrop,
-                    };
-                    self.record_drop(node, packet, reason);
+                    self.observe(node, Observe::Drop(packet, Cause::Mac(reason)));
                 }
             }
         }
@@ -545,8 +496,7 @@ impl Network {
                     }
                 }
                 AodvAction::NotifyRouteFailure { dst } => {
-                    self.trace_event(node, || TraceEvent::RouteFailure { dst });
-                    self.flight_note(node, FlightKind::RouteFail, u64::from(dst.raw()), NO_REASON);
+                    self.observe(node, Observe::RouteFail(dst));
                     self.notify_route_failure(node, dst);
                 }
                 AodvAction::RouteInstalled {
@@ -566,15 +516,7 @@ impl Network {
                     self.trace_event(node, || TraceEvent::RouteInvalidate { dst, dst_seq });
                 }
                 AodvAction::Drop { ref packet, reason } => {
-                    let uid = packet.uid;
-                    self.trace_event(node, || TraceEvent::RouteDrop { uid, reason });
-                    let reason = match reason {
-                        AodvDropReason::NoRoute => DropReason::NoRoute,
-                        AodvDropReason::LinkFailure => DropReason::RouteError,
-                        AodvDropReason::TtlExpired => DropReason::TtlExpired,
-                        AodvDropReason::BufferFull => DropReason::RouteBufferFull,
-                    };
-                    self.record_drop(node, packet, reason);
+                    self.observe(node, Observe::Drop(packet, Cause::Route(reason)));
                 }
             }
         }
@@ -583,13 +525,15 @@ impl Network {
 
     fn deliver_to_transport(&mut self, node: NodeId, packet: Packet) {
         let now = self.now;
+        // A packet no live endpoint takes is dropped by the transport glue.
+        let discard = |reason| Observe::Drop(&packet, Cause::Transport(reason));
         match &packet.body {
             Body::Tcp(seg) => {
                 let id = seg.flow;
                 let (seq, ack, is_data) = (seg.seq, seg.ack, seg.is_data());
                 let Some(flow) = self.flows.get_mut(id) else {
                     // Stale generation: a straggler from a finished flow.
-                    self.record_drop(node, &packet, DropReason::FlowTeardown);
+                    self.observe(node, discard(DropReason::FlowTeardown));
                     return;
                 };
                 if is_data && node == flow.dst {
@@ -605,11 +549,7 @@ impl Network {
                     }
                     flow.delivered += advanced;
                     self.total_delivered += advanced;
-                    // Custody: the endpoint consumed this copy (duplicate
-                    // or not).
-                    if let Some(a) = &mut self.audit {
-                        a.consume(node.index(), id.raw());
-                    }
+                    self.observe(node, Observe::Consume(&packet));
                     self.apply_transport_actions(id, Role::Sink, node, actions);
                 } else if !is_data && node == flow.src {
                     let SourceAgent::Tcp(sender) = &mut flow.source else {
@@ -618,9 +558,7 @@ impl Network {
                     let persistent = flow.class == PERSISTENT;
                     let mut actions = self.pools.transport.pop().unwrap_or_default();
                     sender.on_ack(now, ack, &mut actions);
-                    if let Some(a) = &mut self.audit {
-                        a.consume(node.index(), id.raw());
-                    }
+                    self.observe(node, Observe::Consume(&packet));
                     self.note_window(id);
                     self.apply_transport_actions(id, Role::Source, node, actions);
                     // The ACK may have been the flow's last: an app-limited
@@ -634,12 +572,12 @@ impl Network {
                     }
                 } else {
                     // Wrong node or wrong direction: nothing consumes it.
-                    self.record_drop(node, &packet, DropReason::SinkDiscard);
+                    self.observe(node, discard(DropReason::SinkDiscard));
                 }
             }
             Body::Udp(d) => {
                 let Some(flow) = self.flows.get_mut(d.flow) else {
-                    self.record_drop(node, &packet, DropReason::FlowTeardown);
+                    self.observe(node, discard(DropReason::FlowTeardown));
                     return;
                 };
                 if node == flow.dst {
@@ -650,11 +588,9 @@ impl Network {
                     flow.delivered += 1;
                     flow.last_delivery = Some(now);
                     self.total_delivered += 1;
-                    if let Some(a) = &mut self.audit {
-                        a.consume(node.index(), d.flow.raw());
-                    }
+                    self.observe(node, Observe::Consume(&packet));
                 } else {
-                    self.record_drop(node, &packet, DropReason::SinkDiscard);
+                    self.observe(node, discard(DropReason::SinkDiscard));
                 }
             }
             Body::Aodv(_) => {
@@ -729,18 +665,7 @@ impl Network {
         for action in actions.drain(..) {
             match action {
                 TransportAction::SendPacket(packet) => {
-                    self.trace_event(node, || match &packet.body {
-                        Body::Tcp(seg) if seg.is_data() => {
-                            TraceEvent::TcpData { flow, seq: seg.seq }
-                        }
-                        Body::Tcp(seg) => TraceEvent::TcpAck { flow, ack: seg.ack },
-                        Body::Udp(d) => TraceEvent::UdpData { flow, seq: d.seq },
-                        Body::Aodv(_) => unreachable!("transport never sends AODV"),
-                    });
-                    // Custody: a fresh copy enters the network here.
-                    if let (Some(a), Some(flow_raw)) = (&mut self.audit, transport_flow(&packet)) {
-                        a.originate(node.index(), flow_raw);
-                    }
+                    self.observe(node, Observe::Originate(flow, &packet));
                     let mut aodv = self.pools.aodv.pop().unwrap_or_default();
                     self.routers[node.index()].send(now, packet, &mut aodv);
                     self.apply_aodv_actions(node, aodv);
@@ -762,72 +687,5 @@ impl Network {
             }
         }
         self.pools.transport.push(actions);
-    }
-
-    /// The ledger class a packet's losses are attributed to: its flow's
-    /// traffic class, the `persistent` class for scenario-listed flows,
-    /// or the trailing `unattributed` class when no live flow matches.
-    fn packet_class(&self, packet: &Packet) -> usize {
-        let unattributed = self.ledger.class_names().len() - 1;
-        let id = match &packet.body {
-            Body::Tcp(seg) => seg.flow,
-            Body::Udp(d) => d.flow,
-            Body::Aodv(_) => return unattributed,
-        };
-        match self.flows.get(id) {
-            Some(f) if f.class == PERSISTENT => unattributed - 1,
-            Some(f) => f.class as usize,
-            None => unattributed,
-        }
-    }
-
-    /// Records a drop in the flight recorder and — for transport-bodied
-    /// packets — in the ledger (the ledger is a *data-plane* account;
-    /// dropped AODV control messages would muddy the per-cause tables)
-    /// and, when the reason ends custody, in the audit.
-    fn record_drop(&mut self, node: NodeId, packet: &Packet, reason: DropReason) {
-        if let Some(flow) = transport_flow(packet) {
-            let class = self.packet_class(packet);
-            self.ledger.record(node.index(), class, reason);
-            if reason.is_terminal() {
-                if let Some(a) = &mut self.audit {
-                    a.terminal_drop(node.index(), flow);
-                }
-            }
-        }
-        self.flight_note(node, FlightKind::Drop, packet.uid, reason.index() as u8);
-    }
-
-    /// Appends a record to the flight recorder; `reason` is a
-    /// [`DropReason`] index for drops and [`NO_REASON`] otherwise.
-    fn flight_note(&self, node: NodeId, kind: FlightKind, id: u64, reason: u8) {
-        self.flight
-            .lock()
-            .expect("flight recorder lock poisoned")
-            .record(FlightRecord {
-                t_nanos: self.now.as_nanos(),
-                id,
-                node: node.raw(),
-                kind,
-                reason,
-            });
-    }
-
-    /// Records a trace event at `node`; the closure runs only when
-    /// tracing is on.
-    fn trace_event(&mut self, node: NodeId, event: impl FnOnce() -> TraceEvent) {
-        if let Some(buf) = &mut self.trace {
-            buf.push(TraceRecord {
-                time: self.now,
-                node,
-                event: event(),
-            });
-        }
-    }
-
-    fn probe(&mut self, kind: ProbeKind, id: u32, value: f64) {
-        if let Some(p) = &mut self.probes {
-            p.record(self.now, kind, id, value);
-        }
     }
 }

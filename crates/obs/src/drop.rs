@@ -396,6 +396,8 @@ pub struct ConservationReport {
     pub nodes_checked: usize,
     /// Flows checked.
     pub flows_checked: usize,
+    /// Custody counters summed over every node.
+    pub totals: Custody,
 }
 
 impl ConservationReport {
@@ -521,6 +523,12 @@ impl ConservationAudit {
             ..ConservationReport::default()
         };
         for (i, custody) in self.per_node.iter().enumerate() {
+            let t = &mut report.totals;
+            t.originated += custody.originated;
+            t.delivered_up += custody.delivered_up;
+            t.handed_off += custody.handed_off;
+            t.consumed += custody.consumed;
+            t.dropped += custody.dropped;
             let residual = node_residual.get(i).copied().unwrap_or(0);
             if !custody.balanced(residual) {
                 report.node_imbalances.push(Imbalance {
@@ -610,6 +618,16 @@ mod tests {
         assert!(report.is_balanced(), "{report}");
         assert_eq!(report.nodes_checked, 3);
         assert_eq!(report.flows_checked, 1);
+        assert_eq!(
+            report.totals,
+            Custody {
+                originated: 1,
+                delivered_up: 2,
+                handed_off: 2,
+                consumed: 1,
+                dropped: 0,
+            }
+        );
     }
 
     #[test]

@@ -23,12 +23,13 @@ use std::fmt;
 use std::sync::{Arc, Mutex, Once, Weak};
 
 use crate::drop::DropReason;
+use crate::ring::Ring;
 
 /// What kind of event a [`FlightRecord`] captures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum FlightKind {
-    /// A packet or frame was dropped; `reason` holds the taxonomy index.
+    /// A packet or frame was dropped; `reason` says why.
     Drop = 0,
     /// A unicast MAC handoff failed (retry exhaustion reported upward).
     TxFail = 1,
@@ -63,18 +64,8 @@ pub struct FlightRecord {
     pub node: u32,
     /// Event kind.
     pub kind: FlightKind,
-    /// [`DropReason::index`] for drops, `NO_REASON` otherwise.
-    pub reason: u8,
-}
-
-/// Sentinel for records that carry no drop reason.
-pub const NO_REASON: u8 = u8::MAX;
-
-impl FlightRecord {
-    /// The drop reason, when the record carries one.
-    pub fn drop_reason(&self) -> Option<DropReason> {
-        DropReason::from_index(usize::from(self.reason))
-    }
+    /// Why, for drops.
+    pub reason: Option<DropReason>,
 }
 
 impl fmt::Display for FlightRecord {
@@ -86,7 +77,7 @@ impl fmt::Display for FlightRecord {
             self.node,
             self.kind.label()
         )?;
-        if let Some(reason) = self.drop_reason() {
+        if let Some(reason) = self.reason {
             write!(f, " reason={reason}")?;
         }
         match self.kind {
@@ -100,87 +91,17 @@ impl fmt::Display for FlightRecord {
 /// Default ring capacity: 4096 records ≈ 96 KiB.
 pub const DEFAULT_CAPACITY: usize = 4096;
 
-/// Fixed-capacity ring of [`FlightRecord`]s (capacity rounded up to a
-/// power of two so the wrap is a mask, not a division).
-#[derive(Debug)]
-pub struct FlightRecorder {
-    buf: Vec<FlightRecord>,
-    mask: usize,
-    /// Total records ever written; `head % capacity` is the next slot.
-    written: u64,
-}
+/// Fixed-capacity ring of [`FlightRecord`]s.
+pub type FlightRecorder = Ring<FlightRecord>;
 
-impl FlightRecorder {
-    /// A recorder keeping the most recent `capacity` records (rounded up
-    /// to a power of two).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "flight recorder needs capacity");
-        let capacity = capacity.next_power_of_two();
-        FlightRecorder {
-            buf: Vec::with_capacity(capacity),
-            mask: capacity - 1,
-            written: 0,
-        }
-    }
-
-    /// Appends a record, overwriting the oldest when full.
-    pub fn record(&mut self, record: FlightRecord) {
-        let slot = (self.written as usize) & self.mask;
-        if slot < self.buf.len() {
-            self.buf[slot] = record;
-        } else {
-            self.buf.push(record);
-        }
-        self.written += 1;
-    }
-
-    /// Records retained (at most the capacity).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` if nothing was recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// The configured (rounded) capacity.
-    pub fn capacity(&self) -> usize {
-        self.mask + 1
-    }
-
-    /// Total records ever written.
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
-    /// Records overwritten because the ring wrapped.
-    pub fn dropped(&self) -> u64 {
-        self.written - self.buf.len() as u64
-    }
-
-    /// Retained records, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &FlightRecord> {
-        let start = if self.buf.len() < self.capacity() {
-            0
-        } else {
-            (self.written as usize) & self.mask
-        };
-        let (tail, head) = self.buf.split_at(start);
-        head.iter().chain(tail.iter())
-    }
-
+impl Ring<FlightRecord> {
     /// Renders the ring as display lines, oldest first, with a header
     /// summarizing totals and evictions.
     pub fn dump_lines(&self) -> Vec<String> {
         let mut out = Vec::with_capacity(self.len() + 1);
         out.push(format!(
             "flight recorder: {} events recorded, {} evicted, showing last {}",
-            self.written,
+            self.len() as u64 + self.dropped(),
             self.dropped(),
             self.len()
         ));
@@ -238,48 +159,13 @@ mod tests {
             id: uid,
             node: 1,
             kind: FlightKind::Drop,
-            reason: DropReason::IfqOverflow.index() as u8,
+            reason: Some(DropReason::IfqOverflow),
         }
     }
 
     #[test]
     fn record_is_compact() {
         assert!(std::mem::size_of::<FlightRecord>() <= 24);
-    }
-
-    #[test]
-    fn ring_wraps_and_counts_evictions() {
-        let mut r = FlightRecorder::new(4);
-        for i in 0..11 {
-            r.record(rec(i, i));
-        }
-        assert_eq!(r.capacity(), 4);
-        assert_eq!(r.len(), 4);
-        assert_eq!(r.written(), 11);
-        assert_eq!(r.dropped(), 7);
-        let times: Vec<u64> = r.iter().map(|x| x.t_nanos).collect();
-        assert_eq!(times, vec![7, 8, 9, 10]);
-    }
-
-    #[test]
-    fn partial_ring_iterates_in_order_with_no_drops() {
-        let mut r = FlightRecorder::new(8);
-        r.record(rec(1, 1));
-        r.record(rec(2, 2));
-        assert_eq!(r.dropped(), 0);
-        let times: Vec<u64> = r.iter().map(|x| x.t_nanos).collect();
-        assert_eq!(times, vec![1, 2]);
-    }
-
-    #[test]
-    fn capacity_rounds_to_power_of_two() {
-        assert_eq!(FlightRecorder::new(5).capacity(), 8);
-        assert_eq!(FlightRecorder::new(1).capacity(), 1);
-        let mut r = FlightRecorder::new(1);
-        r.record(rec(1, 1));
-        r.record(rec(2, 2));
-        assert_eq!(r.len(), 1);
-        assert_eq!(r.iter().next().unwrap().t_nanos, 2);
     }
 
     #[test]
@@ -293,17 +179,31 @@ mod tests {
             id: 7,
             node: 0,
             kind: FlightKind::FlowOpen,
-            reason: NO_REASON,
+            reason: None,
         };
         assert!(open.to_string().contains("flow_open flow=7"));
-        assert_eq!(open.drop_reason(), None);
+        assert!(!open.to_string().contains("reason="));
+    }
+
+    #[test]
+    fn ring_wraps_and_counts_evictions() {
+        let mut r = FlightRecorder::new(4);
+        for i in 0..11 {
+            r.push(rec(i, i));
+        }
+        assert_eq!(r.capacity(), 4);
+        assert_eq!(r.len(), 4);
+        assert_eq!(r.len() as u64 + r.dropped(), 11);
+        assert_eq!(r.dropped(), 7);
+        let times: Vec<u64> = r.iter().map(|x| x.t_nanos).collect();
+        assert_eq!(times, vec![7, 8, 9, 10]);
     }
 
     #[test]
     fn dump_lines_header_reports_evictions() {
         let mut r = FlightRecorder::new(2);
         for i in 0..5 {
-            r.record(rec(i, i));
+            r.push(rec(i, i));
         }
         let lines = r.dump_lines();
         assert_eq!(lines.len(), 3);
@@ -314,7 +214,7 @@ mod tests {
     fn registration_is_weak_and_dumpable() {
         let recorder = Arc::new(Mutex::new(FlightRecorder::new(8)));
         register(&recorder);
-        recorder.lock().unwrap().record(rec(9, 9));
+        recorder.lock().unwrap().push(rec(9, 9));
         let lines = dump_current().expect("registered recorder dumps");
         assert!(lines.iter().any(|l| l.contains("uid=9")));
         drop(recorder);

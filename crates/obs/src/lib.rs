@@ -20,6 +20,7 @@
 //!   of the rare events, dumped when an invariant trips or a run panics;
 //! * [`trace`] — a [`TraceEvent`] enum replacing pre-formatted strings,
 //!   recorded into a bounded ring buffer and exportable as JSONL;
+//! * [`ring`] — the bounded [`Ring`] the trace, probes and flight share;
 //! * [`probe`] — on-change time-series sampling of cwnd, srtt, the Vegas
 //!   `diff` signal and interface-queue depth;
 //! * [`json`] — the hand-rolled, byte-deterministic JSON emitter shared
@@ -43,6 +44,7 @@ pub mod flight;
 pub mod json;
 pub mod metrics;
 pub mod probe;
+pub mod ring;
 pub mod trace;
 
 pub use drop::{ConservationAudit, ConservationReport, Custody, DropLedger, DropReason, Imbalance};
@@ -53,4 +55,5 @@ pub use metrics::{
     NodeCounters, Quantiles,
 };
 pub use probe::{ProbeBuffer, ProbeKind, ProbeSample};
+pub use ring::Ring;
 pub use trace::{TraceBuffer, TraceEvent, TraceLayer, TraceRecord};

@@ -7,11 +7,10 @@
 //! one record, and Figs. 3–4-style cwnd-vs-time series come out exactly
 //! as step functions.
 
-use std::collections::VecDeque;
-
 use mwn_sim::SimTime;
 
 use crate::json::Obj;
+use crate::ring::Ring;
 
 /// Which signal a sample belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,11 +75,9 @@ impl ProbeSample {
 }
 
 /// Bounded ring buffer of probe samples with on-change deduplication.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ProbeBuffer {
-    samples: VecDeque<ProbeSample>,
-    capacity: usize,
-    dropped: u64,
+    samples: Ring<ProbeSample>,
     /// Last stored value per series, for change detection — flat: one
     /// dense id-indexed `Vec` per kind (`NaN` = never recorded, which a
     /// `==` change check treats as always-changed, exactly what we
@@ -97,11 +94,8 @@ impl ProbeBuffer {
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "probe buffer needs capacity");
         ProbeBuffer {
-            samples: VecDeque::with_capacity(capacity.min(4096)),
-            capacity,
-            dropped: 0,
+            samples: Ring::new(capacity),
             last: Default::default(),
         }
     }
@@ -118,11 +112,7 @@ impl ProbeBuffer {
             return;
         }
         series[idx] = value;
-        if self.samples.len() == self.capacity {
-            self.samples.pop_front();
-            self.dropped += 1;
-        }
-        self.samples.push_back(ProbeSample {
+        self.samples.push(ProbeSample {
             time,
             kind,
             id,
@@ -154,18 +144,13 @@ impl ProbeBuffer {
 
     /// Samples evicted due to the capacity bound.
     pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Drains the buffer into a vector, oldest first.
-    pub fn into_samples(self) -> Vec<ProbeSample> {
-        self.samples.into_iter().collect()
+        self.samples.dropped()
     }
 
     /// Heap bytes held by the buffer (ring plus change-detection state),
     /// for the engine's `bytes_per_node` accounting.
     pub fn memory_bytes(&self) -> usize {
-        self.samples.capacity() * std::mem::size_of::<ProbeSample>()
+        self.samples.memory_bytes()
             + self
                 .last
                 .iter()

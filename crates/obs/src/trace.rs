@@ -2,13 +2,12 @@
 //!
 //! The event loop records one [`TraceRecord`] per interesting protocol
 //! event — frame transmissions, receptions, MAC outcomes, routing
-//! decisions, transport milestones — into a bounded ring buffer. Each
+//! decisions, transport milestones — into a bounded [`Ring`]. Each
 //! record carries a typed [`TraceEvent`] instead of a pre-formatted
 //! string, so traces can be machine-read (JSONL export, assertions on
 //! variants) without parsing, and a disabled trace performs no formatting
 //! or allocation at all.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use mwn_aodv::AodvDropReason;
@@ -16,6 +15,7 @@ use mwn_pkt::{FlowId, MacFrameKind, NodeId};
 use mwn_sim::{SimDuration, SimTime};
 
 use crate::json::Obj;
+use crate::ring::Ring;
 
 /// Which protocol layer produced a record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -438,63 +438,7 @@ impl fmt::Display for TraceRecord {
 }
 
 /// Bounded ring buffer of trace records.
-#[derive(Debug, Default)]
-pub struct TraceBuffer {
-    records: VecDeque<TraceRecord>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl TraceBuffer {
-    /// Creates a buffer holding at most `capacity` records (older records
-    /// are evicted first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "trace buffer needs capacity");
-        TraceBuffer {
-            records: VecDeque::with_capacity(capacity.min(4096)),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Appends a record, evicting the oldest if full.
-    pub fn push(&mut self, record: TraceRecord) {
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(record);
-    }
-
-    /// The retained records, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.records.iter()
-    }
-
-    /// Number of retained records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// `true` if nothing was recorded (or everything was evicted).
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Records evicted due to the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
+pub type TraceBuffer = Ring<TraceRecord>;
 
 #[cfg(test)]
 mod tests {
@@ -518,7 +462,7 @@ mod tests {
         b.push(rec(2, 11));
         b.push(rec(3, 12));
         let uids: Vec<u64> = b
-            .records()
+            .iter()
             .map(|r| match r.event {
                 TraceEvent::MacRx { uid, .. } => uid,
                 _ => unreachable!(),
@@ -539,18 +483,28 @@ mod tests {
         assert_eq!(b.len(), 3);
         assert_eq!(b.dropped(), 97);
         // The survivors are the newest three, in order.
-        let times: Vec<u64> = b.records().map(|r| r.time.as_nanos()).collect();
+        let times: Vec<u64> = b.iter().map(|r| r.time.as_nanos()).collect();
         assert_eq!(times, vec![97, 98, 99]);
     }
 
     #[test]
-    fn capacity_one_keeps_only_newest() {
-        let mut b = TraceBuffer::new(1);
-        b.push(rec(1, 1));
-        b.push(rec(2, 2));
-        assert_eq!(b.len(), 1);
-        assert_eq!(b.records().next().unwrap().time.as_nanos(), 2);
-        assert_eq!(b.dropped(), 1);
+    fn dropped_accounting_across_wrap_boundary() {
+        let mut b = TraceBuffer::new(4);
+        // Fill exactly to capacity: nothing dropped yet.
+        for i in 0..4 {
+            b.push(rec(i, i));
+        }
+        assert_eq!(b.dropped(), 0);
+        assert_eq!(b.len(), 4);
+        // Each push past capacity evicts exactly one record, so after k
+        // wraps len + dropped equals the total ever pushed.
+        for i in 4..23 {
+            b.push(rec(i, i));
+            assert_eq!(b.dropped() + b.len() as u64, i + 1);
+        }
+        assert_eq!(b.dropped(), 19);
+        let times: Vec<u64> = b.iter().map(|r| r.time.as_nanos()).collect();
+        assert_eq!(times, vec![19, 20, 21, 22]);
     }
 
     #[test]
@@ -611,26 +565,6 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn zero_capacity_rejected() {
         TraceBuffer::new(0);
-    }
-
-    #[test]
-    fn dropped_accounting_across_wrap_boundary() {
-        let mut b = TraceBuffer::new(4);
-        // Fill exactly to capacity: nothing dropped yet.
-        for i in 0..4 {
-            b.push(rec(i, i));
-        }
-        assert_eq!(b.dropped(), 0);
-        assert_eq!(b.len(), 4);
-        // Each push past capacity evicts exactly one record, so after k
-        // wraps len + dropped equals the total ever pushed.
-        for i in 4..23 {
-            b.push(rec(i, i));
-            assert_eq!(b.dropped() + b.len() as u64, i + 1);
-        }
-        assert_eq!(b.dropped(), 19);
-        let times: Vec<u64> = b.records().map(|r| r.time.as_nanos()).collect();
-        assert_eq!(times, vec![19, 20, 21, 22]);
     }
 
     #[test]

@@ -28,7 +28,9 @@ cargo test -q
 
 # Cross-layer invariants + golden-trace conformance on the four fast
 # canonical scenarios (three persistent-flow cases plus the open-loop
-# traffic case), plus a 32-case scenario-fuzz smoke. Budget: the fast
+# traffic case), plus a 32-case scenario-fuzz smoke. Every case and
+# every fuzz case also runs the post-run `conservation` and `observe`
+# rules (custody balances; trace, ledger and audit agree). Budget: the fast
 # suite runs in well under a second and the fuzz cases a few seconds
 # total in release; the whole step stays under ~10 s.
 echo "==> mwn check --suite fast --fuzz 32"
@@ -68,8 +70,9 @@ rm -f "$report_store"
 
 # Conservation audit + flight recorder: the planted leak/double-free
 # faults must trip the `conservation` rule and the violation must carry
-# the flight-recorder dump (crates/check/tests/conservation.rs).
-echo "==> conservation audit fault-injection (flight-recorder dump check)"
+# the flight-recorder dump, and a clean trace missing one `TcpData`
+# record must trip the `observe` rule (crates/check/tests/conservation.rs).
+echo "==> conservation + observe rule fault-injection (flight-recorder dump check)"
 cargo test --release -q -p mwn-check --test conservation
 
 echo "==> observability overhead bench (trace disabled vs enabled)"
@@ -92,8 +95,9 @@ echo "==> lazy medium differential (oracle proptest + eager/lazy digest A/B)"
 cargo test --release -q -p mwn-check --test lazy_medium
 
 # Goldens plus a sequential determinism repeat: the full canonical
-# suite against the committed digests, then every case run a second
-# time with digests and traffic journals compared line by line.
+# suite against the committed digests (with the invariant, `conservation`
+# and `observe` rules on every case), then every case run a second time
+# with digests and traffic journals compared line by line.
 echo "==> mwn check --suite full (goldens + sequential determinism repeat)"
 cargo run --release -q -p mwn-cli -- check --suite full --jobs 0
 
